@@ -1,164 +1,69 @@
 // Command lofat-bench regenerates the paper's evaluation artifacts
-// (tables E1..E11 of DESIGN.md's experiment index) and prints them as
-// markdown. Use -id to select experiments and -o to write a file.
+// (tables E1..E11 of internal/experiments) and prints them as markdown.
+// Use -id to select experiments and -o to write a file:
 //
-// With -bench it instead times the hot capture pipeline (the E1/E2/E3/E5
-// shapes plus a streamed golden run) via testing.Benchmark and emits the
-// results as JSON, so perf regressions are comparable across commits:
+//	lofat-bench              # all experiment tables
+//	lofat-bench -id E3,E7    # selected tables
 //
-//	lofat-bench                                  # all experiment tables
-//	lofat-bench -id E3,E7                        # selected tables
-//	lofat-bench -bench -json run.json            # timed run to JSON
-//	lofat-bench -bench -baseline old.json \
-//	            -json BENCH_PR3.json             # + per-bench speedups
-//	lofat-bench -bench -cpuprofile cpu.pprof     # profile the hot path
-//	lofat-bench -analyze old.json new.json       # regression diff with
-//	                                             # noise-aware thresholds;
-//	                                             # nonzero exit on regression
+// Host-side performance is measured by the benchmark/ program, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"sort"
 	"strings"
-	"testing"
-	"time"
 
-	"lofat/internal/attest"
-	"lofat/internal/cflat"
-	"lofat/internal/core"
 	"lofat/internal/experiments"
-	"lofat/internal/filter"
-	"lofat/internal/hashengine"
-	"lofat/internal/monitor"
-	"lofat/internal/obs"
-	"lofat/internal/stream"
-	"lofat/internal/workloads"
 )
 
-func pushOp(entry, exit uint32) filter.Op {
-	return filter.Op{Kind: filter.OpLoopPush, Entry: entry, Exit: exit}
-}
-
-func condOp(src, dest uint32, taken bool) filter.Op {
-	return filter.Op{Kind: filter.OpLoopEvent, Sym: filter.SymCond, Taken: taken,
-		Pair: hashengine.Pair{Src: src, Dest: dest}}
-}
-
-func jumpOp(src, dest uint32) filter.Op {
-	return filter.Op{Kind: filter.OpLoopEvent, Sym: filter.SymJump,
-		Pair: hashengine.Pair{Src: src, Dest: dest}}
-}
-
-func iterEnd() filter.Op { return filter.Op{Kind: filter.OpIterEnd} }
-
-// BenchResult is one timed benchmark in the JSON report. The percentile
-// fields come from a separate per-op sampling pass (testing.Benchmark
-// only reports the mean), so they are absent when a shape could not be
-// sampled — and absent from baselines recorded at schema 1.
-type BenchResult struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Iterations  int     `json:"iterations"`
-	P50NsPerOp  float64 `json:"p50_ns_per_op,omitempty"`
-	P95NsPerOp  float64 `json:"p95_ns_per_op,omitempty"`
-	P99NsPerOp  float64 `json:"p99_ns_per_op,omitempty"`
-}
-
-// reportSchema versions the -bench JSON document: 1 was means only,
-// 2 added the schema field itself and per-op latency percentiles.
-const reportSchema = 2
-
-// Report is the -bench JSON document. When a -baseline file is given its
-// benchmarks are embedded alongside the current run with the computed
-// speedup factors, so the file is a self-contained before/after record.
-type Report struct {
-	Schema     int                    `json:"schema"`
-	Benchmarks map[string]BenchResult `json:"benchmarks"`
-	Baseline   map[string]BenchResult `json:"baseline,omitempty"`
-	Speedup    map[string]float64     `json:"speedup,omitempty"`
-}
-
 func main() {
-	if err := run(); err != nil {
+	ids := flag.String("id", "", "comma-separated experiment IDs (default: all)")
+	out := flag.String("o", "", "output file (default: stdout)")
+	flag.Parse()
+	if err := run(*ids, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "lofat-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// run carries the whole tool lifecycle so profile teardown (deferred
-// below) flushes even on error paths — os.Exit happens only in main.
-func run() error {
-	ids := flag.String("id", "", "comma-separated experiment IDs (default: all)")
-	out := flag.String("o", "", "output file (default: stdout)")
-	bench := flag.Bool("bench", false, "time the capture hot path instead of printing experiment tables")
-	analyze := flag.Bool("analyze", false, "compare two -bench JSON reports: lofat-bench -analyze old.json new.json (nonzero exit on regression)")
-	baseline := flag.String("baseline", "", "prior -bench JSON to compute per-benchmark speedups against")
-	jsonOut := flag.String("json", "", "write the -bench JSON report to this file (default: stdout)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+// selectExperiments resolves a comma-separated, case-insensitive ID list
+// against experiments.All(), keeping evaluation order. An empty list
+// selects every experiment; an ID that names none is an error.
+func selectExperiments(ids string) ([]experiments.Experiment, error) {
+	all := experiments.All()
+	if ids == "" {
+		return all, nil
 	}
-
-	var err error
-	if *analyze {
-		if flag.NArg() != 2 {
-			return fmt.Errorf("-analyze takes exactly two arguments: old.json new.json")
-		}
-		err = runAnalyze(flag.Arg(0), flag.Arg(1))
-	} else if *bench {
-		err = runBench(*baseline, *jsonOut)
-	} else {
-		err = runExperiments(*ids, *out)
+	known := make([]string, len(all))
+	want := make(map[string]bool, len(all))
+	for i, e := range all {
+		known[i] = e.ID
+		want[e.ID] = false
 	}
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if _, ok := want[id]; !ok {
+			return nil, fmt.Errorf("bad -id: unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
+		}
+		want[id] = true
+	}
+	var sel []experiments.Experiment
+	for _, e := range all {
+		if want[e.ID] {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
+}
+
+func run(ids, out string) error {
+	sel, err := selectExperiments(ids)
 	if err != nil {
 		return err
 	}
-
-	if *memProfile != "" {
-		f, ferr := os.Create(*memProfile)
-		if ferr != nil {
-			return fmt.Errorf("memprofile: %w", ferr)
-		}
-		defer f.Close()
-		runtime.GC()
-		if werr := pprof.WriteHeapProfile(f); werr != nil {
-			return fmt.Errorf("memprofile: %w", werr)
-		}
-	}
-	return nil
-}
-
-func runExperiments(ids, out string) error {
-	want := map[string]bool{}
-	if ids != "" {
-		for _, id := range strings.Split(ids, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
-		}
-	}
-
 	var b strings.Builder
-	for _, e := range experiments.All() {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
+	for _, e := range sel {
 		t, err := e.Run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
@@ -166,257 +71,9 @@ func runExperiments(ids, out string) error {
 		b.WriteString(t.Format())
 		b.WriteString("\n")
 	}
-
 	if out == "" {
 		fmt.Print(b.String())
 		return nil
 	}
 	return os.WriteFile(out, []byte(b.String()), 0o644)
-}
-
-// benchShape pairs a testing.Benchmark function (mean / allocs) with a
-// single-op setup for the percentile sampling pass: Setup runs once and
-// returns a closure executing exactly one operation.
-type benchShape struct {
-	Name  string
-	Fn    func(b *testing.B)
-	Setup func() (func() error, error)
-}
-
-// hotPathBenchmarks are the timed shapes: full attested captures (the
-// fleet/stream golden-run bottleneck), the monitor and hash-engine
-// microbenchmarks, and the C-FLAT software baseline.
-func hotPathBenchmarks() []benchShape {
-	return []benchShape{
-		{"E1_Capture", benchCapture, setupCaptureOp},
-		{"E2_PathEncoding", benchPathEncoding, setupPathEncodingOp},
-		{"E3_CFLAT", benchCFLAT, setupCFLATOp},
-		{"E5_HashEngine", benchHashEngine, setupHashEngineOp},
-		{"StreamGolden", benchStreamGolden, setupStreamGoldenOp},
-		{"FederatedSweep_1node", benchFederated(1, 1), setupFederatedOp(1, 1)},
-		{"FederatedSweep_3nodes", benchFederated(3, 1), setupFederatedOp(3, 1)},
-		{"FederatedSweep_3nodes_R2", benchFederated(3, 2), setupFederatedOp(3, 2)},
-	}
-}
-
-// samplePercentiles times single operations into a log-bucketed
-// histogram until the budget runs out — at most sampleBudget wall time
-// or maxSamples operations — and returns the p50/p95/p99 estimates.
-const (
-	sampleBudget = 250 * time.Millisecond
-	maxSamples   = 2048
-)
-
-func samplePercentiles(setup func() (func() error, error)) (p50, p95, p99 float64, err error) {
-	op, err := setup()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if err := op(); err != nil { // warm caches and one-time lazy init
-		return 0, 0, 0, err
-	}
-	var h obs.Histogram
-	deadline := time.Now().Add(sampleBudget)
-	for i := 0; i < maxSamples && !time.Now().After(deadline); i++ {
-		start := time.Now()
-		if err := op(); err != nil {
-			return 0, 0, 0, err
-		}
-		h.ObserveSince(start)
-	}
-	s := h.Snapshot()
-	return s.Quantile(0.5), s.Quantile(0.95), s.Quantile(0.99), nil
-}
-
-func runBench(baselinePath, jsonOut string) error {
-	rep := Report{Schema: reportSchema, Benchmarks: map[string]BenchResult{}}
-	for _, bm := range hotPathBenchmarks() {
-		r := testing.Benchmark(bm.Fn)
-		res := BenchResult{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		}
-		p50, p95, p99, err := samplePercentiles(bm.Setup)
-		if err != nil {
-			return fmt.Errorf("%s: sample: %w", bm.Name, err)
-		}
-		res.P50NsPerOp, res.P95NsPerOp, res.P99NsPerOp = p50, p95, p99
-		rep.Benchmarks[bm.Name] = res
-		fmt.Fprintf(os.Stderr, "%-18s %12.0f ns/op %8d allocs/op  p50/p95/p99 %.0f/%.0f/%.0f ns\n",
-			bm.Name, res.NsPerOp, r.AllocsPerOp(), p50, p95, p99)
-	}
-
-	if baselinePath != "" {
-		data, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		var base Report
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		rep.Baseline = base.Benchmarks
-		rep.Speedup = map[string]float64{}
-		names := make([]string, 0, len(rep.Benchmarks))
-		for name := range rep.Benchmarks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			b, ok := base.Benchmarks[name]
-			if !ok || rep.Benchmarks[name].NsPerOp == 0 {
-				continue
-			}
-			s := b.NsPerOp / rep.Benchmarks[name].NsPerOp
-			rep.Speedup[name] = s
-			fmt.Fprintf(os.Stderr, "%-18s %6.2fx speedup (%.0f -> %.0f ns/op)\n",
-				name, s, b.NsPerOp, rep.Benchmarks[name].NsPerOp)
-		}
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if jsonOut == "" {
-		_, werr := os.Stdout.Write(data)
-		return werr
-	}
-	return os.WriteFile(jsonOut, data, 0o644)
-}
-
-func benchCapture(b *testing.B) {
-	w := workloads.SyringePump()
-	prog, err := w.Assemble()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := attest.Measure(prog, core.Config{}, w.Input, 50_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchPathEncoding(b *testing.B) {
-	m := monitor.New(monitor.Config{}, func(hashengine.Pair) {})
-	m.Apply(pushOp(0x100, 0x140))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Apply(condOp(0x100, 0x104, false))
-		m.Apply(condOp(0x104, 0x108, false))
-		m.Apply(jumpOp(0x118, 0x124))
-		m.Apply(jumpOp(0x130, 0x100))
-		m.Apply(iterEnd())
-	}
-}
-
-func benchCFLAT(b *testing.B) {
-	w := workloads.CRC32()
-	prog, err := w.Assemble()
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := cflat.NewRunner()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(prog, w.Input); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchHashEngine(b *testing.B) {
-	buf := make([]byte, hashengine.Rate)
-	var s hashengine.Sponge
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Write(buf)
-	}
-}
-
-func benchStreamGolden(b *testing.B) {
-	w := workloads.SyringePump()
-	prog, err := w.Assemble()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := stream.MeasureStream(prog, core.Config{}, w.Input, stream.DefaultSegmentEvents, 50_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The setup*Op functions mirror the benchmarks above one operation at a
-// time, for the percentile sampling pass.
-
-func setupCaptureOp() (func() error, error) {
-	w := workloads.SyringePump()
-	prog, err := w.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	return func() error {
-		_, _, err := attest.Measure(prog, core.Config{}, w.Input, 50_000_000)
-		return err
-	}, nil
-}
-
-func setupPathEncodingOp() (func() error, error) {
-	m := monitor.New(monitor.Config{}, func(hashengine.Pair) {})
-	m.Apply(pushOp(0x100, 0x140))
-	return func() error {
-		m.Apply(condOp(0x100, 0x104, false))
-		m.Apply(condOp(0x104, 0x108, false))
-		m.Apply(jumpOp(0x118, 0x124))
-		m.Apply(jumpOp(0x130, 0x100))
-		m.Apply(iterEnd())
-		return nil
-	}, nil
-}
-
-func setupCFLATOp() (func() error, error) {
-	w := workloads.CRC32()
-	prog, err := w.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	r := cflat.NewRunner()
-	return func() error {
-		_, err := r.Run(prog, w.Input)
-		return err
-	}, nil
-}
-
-func setupHashEngineOp() (func() error, error) {
-	buf := make([]byte, hashengine.Rate)
-	var s hashengine.Sponge
-	return func() error {
-		s.Write(buf)
-		return nil
-	}, nil
-}
-
-func setupStreamGoldenOp() (func() error, error) {
-	w := workloads.SyringePump()
-	prog, err := w.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	return func() error {
-		_, _, err := stream.MeasureStream(prog, core.Config{}, w.Input, stream.DefaultSegmentEvents, 50_000_000)
-		return err
-	}, nil
 }

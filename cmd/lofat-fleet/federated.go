@@ -1,7 +1,6 @@
 package main
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -11,15 +10,11 @@ import (
 	"sync"
 	"time"
 
-	"lofat/internal/attest"
 	"lofat/internal/core"
 	"lofat/internal/fed"
 	"lofat/internal/fed/faultfs"
 	"lofat/internal/fleet"
-	"lofat/internal/fleet/faultconn"
 	"lofat/internal/obs"
-	"lofat/internal/sig"
-	"lofat/internal/workloads"
 )
 
 // fedConfig bundles the federated-mode flags.
@@ -63,7 +58,8 @@ func (h *nodeHandle) dial() (io.ReadWriteCloser, error) {
 	return client, nil
 }
 
-func (h *nodeHandle) kill() {
+// sever marks the node down and closes its open control-plane pipes.
+func (h *nodeHandle) sever() {
 	h.mu.Lock()
 	h.down = true
 	conns := h.conns
@@ -72,18 +68,15 @@ func (h *nodeHandle) kill() {
 	for _, c := range conns {
 		c.Close()
 	}
+}
+
+func (h *nodeHandle) kill() {
+	h.sever()
 	h.node.Kill()
 }
 
 func (h *nodeHandle) close() {
-	h.mu.Lock()
-	h.down = true
-	conns := h.conns
-	h.conns = nil
-	h.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
+	h.sever()
 	if err := h.node.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "lofat-fleet: close node %s: %v\n", h.node.ID(), err)
 	}
@@ -93,20 +86,10 @@ func (h *nodeHandle) close() {
 // TCP device fleet, but sharded by the placement ring across fc.nodes
 // verifier nodes behind one coordinator, with optional persistent
 // registries and kill/rejoin or join/rebalance chaos.
-func runFederated(devices, attacked, stalled, dropping int, attackName, workload string, sweeps int, cfg fleet.Config, fc fedConfig, o obsConfig) error {
-	w, ok := workloads.ByName(workload)
-	if !ok {
-		return fmt.Errorf("unknown workload %q", workload)
-	}
-	atk, ok := workloads.AttackByName(attackName)
-	if !ok {
-		return fmt.Errorf("unknown attack %q", attackName)
-	}
-	if attacked > devices {
-		attacked = devices
-	}
-	if attacked+stalled+dropping > devices {
-		return fmt.Errorf("attacked+stalled+dropping (%d) exceeds -devices (%d)", attacked+stalled+dropping, devices)
+func runFederated(shape fleetShape, sweeps int, cfg fleet.Config, fc fedConfig, o obsConfig) error {
+	w, atk, prog, err := shape.resolve()
+	if err != nil {
+		return err
 	}
 	if (fc.kill || fc.diskFault != "") && fc.snapDir == "" {
 		dir, err := os.MkdirTemp("", "lofat-fed-")
@@ -131,10 +114,6 @@ func runFederated(devices, attacked, stalled, dropping int, attackName, workload
 	default:
 		return fmt.Errorf("unknown -disk-fault %q (want fsync or enospc)", fc.diskFault)
 	}
-	prog, err := w.Assemble()
-	if err != nil {
-		return err
-	}
 
 	hub, obsDone, err := setupObs(o)
 	if err != nil {
@@ -142,18 +121,8 @@ func runFederated(devices, attacked, stalled, dropping int, attackName, workload
 	}
 	defer obsDone()
 
-	plans := make(map[string]faultconn.Plan)
-	dialTO := cfg.DialTimeout
-	tcpDial := func(addr string) (io.ReadWriteCloser, error) {
-		return net.DialTimeout("tcp", addr, dialTO)
-	}
-	var plansMu sync.Mutex
-	cfg.Dial = faultconn.Wrap(tcpDial, func(addr string) (faultconn.Plan, bool) {
-		plansMu.Lock()
-		defer plansMu.Unlock()
-		p, ok := plans[addr]
-		return p, ok
-	})
+	var devs simDevices
+	cfg.Dial = devs.dialer(cfg.DialTimeout)
 
 	nodeCfg := func(i int) fed.NodeConfig {
 		nc := fed.NodeConfig{ID: fed.NodeID(fmt.Sprintf("node-%d", i)), Fleet: cfg}
@@ -204,48 +173,13 @@ func runFederated(devices, attacked, stalled, dropping int, attackName, workload
 	}
 	fmt.Printf("registered firmware %q as program %v on every node\n", w.Name, progID)
 
-	var servers []*attest.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
+	defer devs.close()
 	start := time.Now()
-	for i := 0; i < devices; i++ {
-		keys, err := sig.GenerateKeyStore(rand.Reader)
-		if err != nil {
-			return err
-		}
-		p := attest.NewProver(prog, core.Config{}, keys)
-		if i < attacked {
-			p.Adversary = atk.Build(prog)
-		}
-		reg := attest.NewRegistry()
-		reg.Register(p)
-		srv := attest.NewServer(reg)
-		srv.IdleTimeout = proverIdleTimeout(cfg)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		servers = append(servers, srv)
-		switch {
-		case i >= attacked && i < attacked+stalled:
-			plansMu.Lock()
-			plans[addr.String()] = faultconn.Plan{StallWriteAfter: 3}
-			plansMu.Unlock()
-		case i >= attacked+stalled && i < attacked+stalled+dropping:
-			plansMu.Lock()
-			plans[addr.String()] = faultconn.Plan{CloseAfter: 2}
-			plansMu.Unlock()
-		}
-		id := fleet.DeviceID(fmt.Sprintf("dev-%04d", i))
-		if err := coord.Enroll(id, progID, keys.Public(), addr.String()); err != nil {
-			return err
-		}
+	if err := devs.spawn(shape, prog, atk, proverIdleTimeout(cfg), progID, coord.Enroll); err != nil {
+		return err
 	}
 	fmt.Printf("enrolled %d devices across %d nodes (%d armed with %q, %d stalled, %d dropping) in %v\n",
-		devices, fc.nodes, attacked, atk.Name, stalled, dropping, time.Since(start).Round(time.Millisecond))
+		shape.devices, fc.nodes, shape.attacked, atk.Name, shape.stalled, shape.dropping, time.Since(start).Round(time.Millisecond))
 	if diskInj != nil {
 		diskInj.Arm(diskPlan)
 		fmt.Printf("armed disk fault %q on %s (%d bytes already durable)\n",

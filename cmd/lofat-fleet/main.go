@@ -35,23 +35,16 @@
 package main
 
 import (
-	"crypto/rand"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
-	"lofat/internal/attest"
 	"lofat/internal/core"
 	"lofat/internal/fleet"
-	"lofat/internal/fleet/faultconn"
 	"lofat/internal/obs"
-	"lofat/internal/sig"
-	"lofat/internal/workloads"
 )
 
 func main() {
@@ -100,6 +93,10 @@ func main() {
 		RetryBackoff:     *backoff,
 		BreakerThreshold: *breaker,
 	}
+	shape := fleetShape{
+		devices: *devices, attacked: *attacked, stalled: *stalled, dropping: *dropping,
+		attack: *attackName, workload: *workload,
+	}
 	o := obsConfig{metricsAddr: *metricsAddr, pprof: *pprofOn, traceOut: *traceOut, flightCap: *flightCap}
 	var err error
 	if *nodes > 0 {
@@ -111,13 +108,13 @@ func main() {
 			nodes: *nodes, replicas: *replicas, snapDir: *snapDir,
 			kill: *killNode, killMid: *killMid, join: *joinNode, diskFault: *diskFault,
 		}
-		err = runFederated(*devices, *attacked, *stalled, *dropping, *attackName, *workload, *sweeps, cfg, fc, o)
+		err = runFederated(shape, *sweeps, cfg, fc, o)
 	} else {
 		if *killNode || *killMid || *joinNode || *snapDir != "" || *replicas != 1 || *diskFault != "" {
 			fmt.Fprintln(os.Stderr, "lofat-fleet: -kill/-kill-during-sweep/-join/-snapshot-dir/-replicas/-disk-fault need federated mode (-nodes N)")
 			os.Exit(2)
 		}
-		err = run(*devices, *attacked, *stalled, *dropping, *attackName, *workload, *sweeps, cfg, *interval, *duration, o)
+		err = run(shape, *sweeps, cfg, *interval, *duration, o)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lofat-fleet: %v\n", err)
@@ -184,35 +181,8 @@ func setupObs(o obsConfig) (*obs.Hub, func(), error) {
 	}, nil
 }
 
-// proverIdleTimeout derives the simulated devices' server-side idle
-// deadline from the verifier's per-phase timeouts, so a stalled
-// exchange frees the prover goroutine on the same scale the operator
-// tuned (twice the slower phase, floor 1s; disabled phases fall back
-// to 30s).
-func proverIdleTimeout(cfg fleet.Config) time.Duration {
-	d := max(cfg.ReadTimeout, cfg.WriteTimeout)
-	if d <= 0 {
-		return 30 * time.Second
-	}
-	return max(2*d, time.Second)
-}
-
-func run(devices, attacked, stalled, dropping int, attackName, workload string, sweeps int, cfg fleet.Config, interval, duration time.Duration, o obsConfig) error {
-	w, ok := workloads.ByName(workload)
-	if !ok {
-		return fmt.Errorf("unknown workload %q", workload)
-	}
-	atk, ok := workloads.AttackByName(attackName)
-	if !ok {
-		return fmt.Errorf("unknown attack %q", attackName)
-	}
-	if attacked > devices {
-		attacked = devices
-	}
-	if attacked+stalled+dropping > devices {
-		return fmt.Errorf("attacked+stalled+dropping (%d) exceeds -devices (%d)", attacked+stalled+dropping, devices)
-	}
-	prog, err := w.Assemble()
+func run(shape fleetShape, sweeps int, cfg fleet.Config, interval, duration time.Duration, o obsConfig) error {
+	w, atk, prog, err := shape.resolve()
 	if err != nil {
 		return err
 	}
@@ -224,21 +194,8 @@ func run(devices, attacked, stalled, dropping int, attackName, workload string, 
 	defer obsDone()
 	cfg.Obs = hub
 
-	// Transport-chaos plans keyed by enrolled address, applied by a
-	// faultconn wrapper around the plain TCP dial. The table is fully
-	// built during enrolment, before any sweep dials.
-	plans := make(map[string]faultconn.Plan)
-	dialTO := cfg.DialTimeout
-	tcpDial := func(addr string) (io.ReadWriteCloser, error) {
-		return net.DialTimeout("tcp", addr, dialTO)
-	}
-	var plansMu sync.Mutex
-	cfg.Dial = faultconn.Wrap(tcpDial, func(addr string) (faultconn.Plan, bool) {
-		plansMu.Lock()
-		defer plansMu.Unlock()
-		p, ok := plans[addr]
-		return p, ok
-	})
+	var devs simDevices
+	cfg.Dial = devs.dialer(cfg.DialTimeout)
 
 	svc := fleet.NewService(cfg)
 	defer svc.Close()
@@ -248,55 +205,13 @@ func run(devices, attacked, stalled, dropping int, attackName, workload string, 
 	}
 	fmt.Printf("registered firmware %q as program %v\n", w.Name, progID)
 
-	// Spin up the simulated fleet: one attest.Server per device on a
-	// loopback port, each provisioned with its own key at "manufacture".
-	// Device roles by index: [0,attacked) armed, then stalled, then
-	// dropping, the rest honest.
-	var servers []*attest.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
+	defer devs.close()
 	start := time.Now()
-	for i := 0; i < devices; i++ {
-		keys, err := sig.GenerateKeyStore(rand.Reader)
-		if err != nil {
-			return err
-		}
-		p := attest.NewProver(prog, core.Config{}, keys)
-		if i < attacked {
-			p.Adversary = atk.Build(prog)
-		}
-		reg := attest.NewRegistry()
-		reg.Register(p)
-		srv := attest.NewServer(reg)
-		srv.IdleTimeout = proverIdleTimeout(cfg)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		servers = append(servers, srv)
-		switch {
-		case i >= attacked && i < attacked+stalled:
-			// Deliver 3 bytes of the challenge frame, swallow the rest:
-			// the prover blocks mid-ReadFull, the verifier's read
-			// deadline times the round out.
-			plansMu.Lock()
-			plans[addr.String()] = faultconn.Plan{StallWriteAfter: 3}
-			plansMu.Unlock()
-		case i >= attacked+stalled && i < attacked+stalled+dropping:
-			plansMu.Lock()
-			plans[addr.String()] = faultconn.Plan{CloseAfter: 2}
-			plansMu.Unlock()
-		}
-		id := fleet.DeviceID(fmt.Sprintf("dev-%04d", i))
-		if err := svc.Enroll(id, progID, keys.Public(), addr.String()); err != nil {
-			return err
-		}
+	if err := devs.spawn(shape, prog, atk, proverIdleTimeout(cfg), progID, svc.Enroll); err != nil {
+		return err
 	}
 	fmt.Printf("enrolled %d devices (%d armed with %q, %d stalled, %d dropping) in %v\n",
-		devices, attacked, atk.Name, stalled, dropping, time.Since(start).Round(time.Millisecond))
+		shape.devices, shape.attacked, atk.Name, shape.stalled, shape.dropping, time.Since(start).Round(time.Millisecond))
 
 	if interval > 0 {
 		fmt.Printf("scheduler sweeping every %v for %v\n", interval, duration)

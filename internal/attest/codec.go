@@ -1,140 +1,72 @@
 package attest
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"lofat/internal/hashengine"
 	"lofat/internal/monitor"
+	"lofat/internal/wire"
 )
 
 // Wire format: all integers little-endian, length-prefixed slices. The
 // encoding is canonical (a given value has exactly one encoding), which
 // makes the signed payload deterministic.
 
-type writer struct{ buf []byte }
-
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+func writePathCode(w *wire.Writer, c monitor.PathCode) {
+	w.U64(c.Bits)
+	w.U8(c.Len)
+	w.Bool(c.Overflow)
 }
 
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("attest: decode: truncated %s at offset %d", what, r.off)
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.fail("u8")
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail("u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail("bytes")
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, r.buf[r.off:])
-	r.off += n
-	return v
-}
-
-func writePathCode(w *writer, c monitor.PathCode) {
-	w.u64(c.Bits)
-	w.u8(c.Len)
-	if c.Overflow {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-func readPathCode(r *reader) monitor.PathCode {
+func readPathCode(r *wire.Reader) monitor.PathCode {
 	var c monitor.PathCode
-	c.Bits = r.u64()
-	c.Len = r.u8()
-	c.Overflow = r.u8() == 1
+	c.Bits = r.U64()
+	c.Len = r.U8()
+	c.Overflow = r.Bool()
 	return c
 }
 
-func writeLoopRecord(w *writer, rec monitor.LoopRecord) {
-	w.u32(rec.Entry)
-	w.u32(rec.Exit)
-	w.u64(rec.Iterations)
-	w.u64(rec.IndirectOverflows)
+func writeLoopRecord(w *wire.Writer, rec monitor.LoopRecord) {
+	w.U32(rec.Entry)
+	w.U32(rec.Exit)
+	w.U64(rec.Iterations)
+	w.U64(rec.IndirectOverflows)
 	writePathCode(w, rec.Partial)
-	w.u32(uint32(len(rec.Paths)))
+	w.U32(uint32(len(rec.Paths)))
 	for _, p := range rec.Paths {
 		writePathCode(w, p.Code)
-		w.u64(p.Count)
+		w.U64(p.Count)
 	}
-	w.u32(uint32(len(rec.IndirectTargets)))
+	w.U32(uint32(len(rec.IndirectTargets)))
 	for _, t := range rec.IndirectTargets {
-		w.u32(t)
+		w.U32(t)
 	}
 }
 
-func readLoopRecord(r *reader) monitor.LoopRecord {
+func readLoopRecord(r *wire.Reader) monitor.LoopRecord {
 	var rec monitor.LoopRecord
-	rec.Entry = r.u32()
-	rec.Exit = r.u32()
-	rec.Iterations = r.u64()
-	rec.IndirectOverflows = r.u64()
+	rec.Entry = r.U32()
+	rec.Exit = r.U32()
+	rec.Iterations = r.U64()
+	rec.IndirectOverflows = r.U64()
 	rec.Partial = readPathCode(r)
-	nPaths := int(r.u32())
-	if r.err == nil && nPaths > len(r.buf) { // defensive bound
-		r.fail("paths count")
+	nPaths := int(r.U32())
+	if r.Err == nil && nPaths > len(r.Buf) { // defensive bound
+		r.Fail("paths count")
 		return rec
 	}
-	for i := 0; i < nPaths && r.err == nil; i++ {
+	for i := 0; i < nPaths && r.Err == nil; i++ {
 		code := readPathCode(r)
-		count := r.u64()
+		count := r.U64()
 		rec.Paths = append(rec.Paths, monitor.PathStat{Code: code, Count: count})
 	}
-	nTgts := int(r.u32())
-	if r.err == nil && nTgts > len(r.buf) {
-		r.fail("targets count")
+	nTgts := int(r.U32())
+	if r.Err == nil && nTgts > len(r.Buf) {
+		r.Fail("targets count")
 		return rec
 	}
-	for i := 0; i < nTgts && r.err == nil; i++ {
-		rec.IndirectTargets = append(rec.IndirectTargets, r.u32())
+	for i := 0; i < nTgts && r.Err == nil; i++ {
+		rec.IndirectTargets = append(rec.IndirectTargets, r.U32())
 	}
 	return rec
 }
@@ -142,100 +74,89 @@ func readLoopRecord(r *reader) monitor.LoopRecord {
 // SignedPayload is the byte string the prover signs: idS || A || L || N
 // || exit code — the paper's P || N with the program identity bound in.
 func SignedPayload(r *Report) []byte {
-	var w writer
-	w.buf = make([]byte, 0, 256)
-	w.buf = append(w.buf, r.Program[:]...)
-	w.buf = append(w.buf, r.Hash[:]...)
-	w.u32(uint32(len(r.Loops)))
+	var w wire.Writer
+	w.Buf = make([]byte, 0, 256)
+	w.Buf = append(w.Buf, r.Program[:]...)
+	w.Buf = append(w.Buf, r.Hash[:]...)
+	w.U32(uint32(len(r.Loops)))
 	for _, rec := range r.Loops {
 		writeLoopRecord(&w, rec)
 	}
-	w.buf = append(w.buf, r.Nonce[:]...)
-	w.u32(r.ExitCode)
-	return w.buf
+	w.Buf = append(w.Buf, r.Nonce[:]...)
+	w.U32(r.ExitCode)
+	return w.Buf
 }
 
 // EncodeReport serializes a report for transport.
 func EncodeReport(r *Report) []byte {
-	var w writer
-	w.buf = append(w.buf, r.Program[:]...)
-	w.buf = append(w.buf, r.Nonce[:]...)
-	w.buf = append(w.buf, r.Hash[:]...)
-	w.u32(r.ExitCode)
-	w.u32(uint32(len(r.Loops)))
+	var w wire.Writer
+	w.Buf = append(w.Buf, r.Program[:]...)
+	w.Buf = append(w.Buf, r.Nonce[:]...)
+	w.Buf = append(w.Buf, r.Hash[:]...)
+	w.U32(r.ExitCode)
+	w.U32(uint32(len(r.Loops)))
 	for _, rec := range r.Loops {
 		writeLoopRecord(&w, rec)
 	}
-	w.bytes(r.Sig)
-	return w.buf
+	w.Bytes(r.Sig)
+	return w.Buf
 }
 
 // DecodeReport parses a transported report.
 func DecodeReport(b []byte) (*Report, error) {
-	r := &reader{buf: b}
+	r := &wire.Reader{Prefix: "attest", Buf: b}
 	var rep Report
 	if len(b) < len(rep.Program)+len(rep.Nonce)+hashengine.DigestSize {
 		return nil, fmt.Errorf("attest: report too short (%d bytes)", len(b))
 	}
-	copy(rep.Program[:], b[r.off:])
-	r.off += len(rep.Program)
-	copy(rep.Nonce[:], b[r.off:])
-	r.off += len(rep.Nonce)
-	copy(rep.Hash[:], b[r.off:])
-	r.off += hashengine.DigestSize
-	rep.ExitCode = r.u32()
-	n := int(r.u32())
-	if r.err == nil && n > len(b) {
+	copy(rep.Program[:], r.Raw(len(rep.Program), "program"))
+	copy(rep.Nonce[:], r.Raw(len(rep.Nonce), "nonce"))
+	copy(rep.Hash[:], r.Raw(len(rep.Hash), "hash"))
+	rep.ExitCode = r.U32()
+	n := int(r.U32())
+	if r.Err == nil && n > len(b) {
 		return nil, fmt.Errorf("attest: absurd loop count %d", n)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err == nil; i++ {
 		rep.Loops = append(rep.Loops, readLoopRecord(r))
 	}
-	rep.Sig = r.bytes()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("attest: %d trailing bytes in report", len(b)-r.off)
+	rep.Sig = r.Bytes()
+	if err := r.Finish("report"); err != nil {
+		return nil, err
 	}
 	return &rep, nil
 }
 
 // EncodeChallenge serializes a challenge.
 func EncodeChallenge(c *Challenge) []byte {
-	var w writer
-	w.buf = append(w.buf, c.Program[:]...)
-	w.buf = append(w.buf, c.Nonce[:]...)
-	w.u32(uint32(len(c.Input)))
+	var w wire.Writer
+	w.Buf = append(w.Buf, c.Program[:]...)
+	w.Buf = append(w.Buf, c.Nonce[:]...)
+	w.U32(uint32(len(c.Input)))
 	for _, v := range c.Input {
-		w.u32(v)
+		w.U32(v)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // DecodeChallenge parses a challenge.
 func DecodeChallenge(b []byte) (*Challenge, error) {
 	var c Challenge
-	r := &reader{buf: b}
+	r := &wire.Reader{Prefix: "attest", Buf: b}
 	if len(b) < len(c.Program)+len(c.Nonce)+4 {
 		return nil, fmt.Errorf("attest: challenge too short (%d bytes)", len(b))
 	}
-	copy(c.Program[:], b[r.off:])
-	r.off += len(c.Program)
-	copy(c.Nonce[:], b[r.off:])
-	r.off += len(c.Nonce)
-	n := int(r.u32())
-	if r.err == nil && n > len(b) {
+	copy(c.Program[:], r.Raw(len(c.Program), "program"))
+	copy(c.Nonce[:], r.Raw(len(c.Nonce), "nonce"))
+	n := int(r.U32())
+	if r.Err == nil && n > len(b) {
 		return nil, fmt.Errorf("attest: absurd input count %d", n)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		c.Input = append(c.Input, r.u32())
+	for i := 0; i < n && r.Err == nil; i++ {
+		c.Input = append(c.Input, r.U32())
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("attest: %d trailing bytes in challenge", len(b)-r.off)
+	if err := r.Finish("challenge"); err != nil {
+		return nil, err
 	}
 	return &c, nil
 }
@@ -244,9 +165,9 @@ func DecodeChallenge(b []byte) (*Challenge, error) {
 // says "depends on the number of loops executed, the number of different
 // paths per loop, and the number of indirect branch targets".
 func MetadataSize(loops []monitor.LoopRecord) int {
-	var w writer
+	var w wire.Writer
 	for _, rec := range loops {
 		writeLoopRecord(&w, rec)
 	}
-	return len(w.buf)
+	return len(w.Buf)
 }

@@ -1,8 +1,7 @@
 // Package experiments regenerates every quantitative artifact of the
-// paper's evaluation (§6) plus the design figures, as data tables (E1..E11): each
-// Ei corresponds to a row of DESIGN.md's experiment index and is
-// exercised by a benchmark in the repository root and printed by
-// cmd/lofat-bench. EXPERIMENTS.md records paper-vs-measured for each.
+// paper's evaluation (§6) plus the design figures, as data tables
+// (E1..E11), printed by cmd/lofat-bench. Each table's notes quote the
+// paper's claim beside the measured rows.
 package experiments
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"lofat/internal/attest"
 	"lofat/internal/fleet"
+	"lofat/internal/wire"
 )
 
 // Persistence wire format: all integers little-endian, length-prefixed
@@ -134,183 +135,90 @@ type WALRecord struct {
 	Gen    uint64         // recSweepGen
 }
 
-type writer struct{ buf []byte }
-
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-type reader struct {
-	buf []byte
-	off int
-	err error
+func writeDeviceRecord(w *wire.Writer, d DeviceRecord) {
+	w.Str(string(d.ID))
+	w.Str(d.Addr)
+	w.Buf = append(w.Buf, d.Program[:]...)
+	w.Buf = append(w.Buf, d.Pub[:]...)
+	w.Bool(d.Quarantined)
+	w.U32(d.ConsecutiveRejects)
+	w.U64(d.Rounds)
+	w.U64(d.Accepted)
+	w.U64(d.Rejected)
+	w.U64(d.TransportErrors)
+	w.U8(uint8(d.LastClass))
+	w.U8(uint8(d.Breaker))
+	w.U32(d.TransportFails)
+	w.U64(d.BreakerGen)
 }
 
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("fed: decode: truncated %s at offset %d", what, r.off)
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.fail("u8")
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.buf) {
-		r.fail("u16")
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail("u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) bool() bool { return r.u8() == 1 }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail("string")
-		return ""
-	}
-	v := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return v
-}
-
-func (r *reader) raw(n int, what string) []byte {
-	if r.err != nil || r.off+n > len(r.buf) {
-		r.fail(what)
-		return nil
-	}
-	v := r.buf[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-func writeDeviceRecord(w *writer, d DeviceRecord) {
-	w.str(string(d.ID))
-	w.str(d.Addr)
-	w.buf = append(w.buf, d.Program[:]...)
-	w.buf = append(w.buf, d.Pub[:]...)
-	w.bool(d.Quarantined)
-	w.u32(d.ConsecutiveRejects)
-	w.u64(d.Rounds)
-	w.u64(d.Accepted)
-	w.u64(d.Rejected)
-	w.u64(d.TransportErrors)
-	w.u8(uint8(d.LastClass))
-	w.u8(uint8(d.Breaker))
-	w.u32(d.TransportFails)
-	w.u64(d.BreakerGen)
-}
-
-func readDeviceRecord(r *reader) DeviceRecord {
+func readDeviceRecord(r *wire.Reader) DeviceRecord {
 	var d DeviceRecord
-	d.ID = fleet.DeviceID(r.str())
-	d.Addr = r.str()
-	copy(d.Program[:], r.raw(len(d.Program), "program id"))
-	copy(d.Pub[:], r.raw(len(d.Pub), "public key"))
-	d.Quarantined = r.bool()
-	d.ConsecutiveRejects = r.u32()
-	d.Rounds = r.u64()
-	d.Accepted = r.u64()
-	d.Rejected = r.u64()
-	d.TransportErrors = r.u64()
-	d.LastClass = attest.Classification(r.u8())
-	d.Breaker = fleet.BreakerState(r.u8())
-	d.TransportFails = r.u32()
-	d.BreakerGen = r.u64()
+	d.ID = fleet.DeviceID(r.Str())
+	d.Addr = r.Str()
+	copy(d.Program[:], r.Raw(len(d.Program), "program id"))
+	copy(d.Pub[:], r.Raw(len(d.Pub), "public key"))
+	d.Quarantined = r.Bool()
+	d.ConsecutiveRejects = r.U32()
+	d.Rounds = r.U64()
+	d.Accepted = r.U64()
+	d.Rejected = r.U64()
+	d.TransportErrors = r.U64()
+	d.LastClass = attest.Classification(r.U8())
+	d.Breaker = fleet.BreakerState(r.U8())
+	d.TransportFails = r.U32()
+	d.BreakerGen = r.U64()
 	return d
 }
 
 // encodeRecordBody serializes a WAL record body (kind byte + fields).
 func encodeRecordBody(rec WALRecord) []byte {
-	var w writer
-	w.u8(rec.Kind)
+	var w wire.Writer
+	w.U8(rec.Kind)
 	switch rec.Kind {
 	case recUpsert:
 		writeDeviceRecord(&w, rec.Device)
 	case recForget:
-		w.str(string(rec.ID))
+		w.Str(string(rec.ID))
 	case recQuarantine:
-		w.str(string(rec.ID))
-		w.bool(rec.On)
+		w.Str(string(rec.ID))
+		w.Bool(rec.On)
 	case recCacheKey:
-		w.str(rec.Key)
+		w.Str(rec.Key)
 	case recSweepGen:
-		w.u64(rec.Gen)
+		w.U64(rec.Gen)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // decodeRecordBody parses a WAL record body. Unknown kinds are an
 // error: a WAL written by a future schema must not be half-understood.
 func decodeRecordBody(b []byte) (WALRecord, error) {
-	r := &reader{buf: b}
+	r := &wire.Reader{Prefix: "fed", Buf: b}
 	var rec WALRecord
-	rec.Kind = r.u8()
+	rec.Kind = r.U8()
 	switch rec.Kind {
 	case recUpsert:
 		rec.Device = readDeviceRecord(r)
 	case recForget:
-		rec.ID = fleet.DeviceID(r.str())
+		rec.ID = fleet.DeviceID(r.Str())
 	case recQuarantine:
-		rec.ID = fleet.DeviceID(r.str())
-		rec.On = r.bool()
+		rec.ID = fleet.DeviceID(r.Str())
+		rec.On = r.Bool()
 	case recCacheKey:
-		rec.Key = r.str()
+		rec.Key = r.Str()
 	case recSweepGen:
-		rec.Gen = r.u64()
+		rec.Gen = r.U64()
 	default:
-		if r.err == nil {
+		if r.Err == nil {
 			return rec, fmt.Errorf("fed: wal: unknown record kind %d", rec.Kind)
 		}
 	}
-	if r.err != nil {
-		return rec, r.err
+	if r.Err != nil {
+		return rec, r.Err
 	}
-	if r.off != len(b) {
-		return rec, fmt.Errorf("fed: wal: %d trailing bytes in record", len(b)-r.off)
+	if r.Off != len(b) {
+		return rec, fmt.Errorf("fed: wal: %d trailing bytes in record", len(b)-r.Off)
 	}
 	return rec, nil
 }
@@ -379,11 +287,11 @@ func (s *State) Clone() *State {
 // EncodeSnapshot serializes the state as a schema-versioned,
 // checksummed snapshot file image.
 func EncodeSnapshot(s *State) []byte {
-	var w writer
-	w.buf = append(w.buf, snapshotMagic...)
-	w.u16(SnapshotVersion)
-	w.str(string(s.Node))
-	w.u64(s.SweepGen)
+	var w wire.Writer
+	w.Buf = append(w.Buf, snapshotMagic...)
+	w.U16(SnapshotVersion)
+	w.Str(string(s.Node))
+	w.U64(s.SweepGen)
 	// Deterministic image: devices and keys sorted, so identical state
 	// always snapshots to identical bytes.
 	ids := make([]string, 0, len(s.Devices))
@@ -391,7 +299,7 @@ func EncodeSnapshot(s *State) []byte {
 		ids = append(ids, string(id))
 	}
 	sort.Strings(ids)
-	w.u32(uint32(len(ids)))
+	w.U32(uint32(len(ids)))
 	for _, id := range ids {
 		writeDeviceRecord(&w, s.Devices[fleet.DeviceID(id)])
 	}
@@ -400,12 +308,12 @@ func EncodeSnapshot(s *State) []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w.u32(uint32(len(keys)))
+	w.U32(uint32(len(keys)))
 	for _, k := range keys {
-		w.str(k)
+		w.Str(k)
 	}
-	w.u32(crc32.Checksum(w.buf, crcTable))
-	return w.buf
+	w.U32(crc32.Checksum(w.Buf, crcTable))
+	return w.Buf
 }
 
 // DecodeSnapshot parses and verifies a snapshot image. Any damage —
@@ -423,32 +331,32 @@ func DecodeSnapshot(b []byte) (*State, error) {
 	if got := crc32.Checksum(body, crcTable); got != sum {
 		return nil, fmt.Errorf("fed: snapshot: checksum mismatch (stored %08x, computed %08x)", sum, got)
 	}
-	r := &reader{buf: body, off: len(snapshotMagic)}
-	if v := r.u16(); v != SnapshotVersion {
+	r := &wire.Reader{Prefix: "fed", Buf: body, Off: len(snapshotMagic)}
+	if v := r.U16(); v != SnapshotVersion {
 		return nil, fmt.Errorf("fed: snapshot: version %d, this build speaks only %d", v, SnapshotVersion)
 	}
-	s := NewState(NodeID(r.str()))
-	s.SweepGen = r.u64()
-	nDev := int(r.u32())
-	if r.err == nil && nDev > len(body) {
+	s := NewState(NodeID(r.Str()))
+	s.SweepGen = r.U64()
+	nDev := int(r.U32())
+	if r.Err == nil && nDev > len(body) {
 		return nil, fmt.Errorf("fed: snapshot: absurd device count %d", nDev)
 	}
-	for i := 0; i < nDev && r.err == nil; i++ {
+	for i := 0; i < nDev && r.Err == nil; i++ {
 		d := readDeviceRecord(r)
 		s.Devices[d.ID] = d
 	}
-	nKeys := int(r.u32())
-	if r.err == nil && nKeys > len(body) {
+	nKeys := int(r.U32())
+	if r.Err == nil && nKeys > len(body) {
 		return nil, fmt.Errorf("fed: snapshot: absurd key count %d", nKeys)
 	}
-	for i := 0; i < nKeys && r.err == nil; i++ {
-		s.CacheKeys[r.str()] = struct{}{}
+	for i := 0; i < nKeys && r.Err == nil; i++ {
+		s.CacheKeys[r.Str()] = struct{}{}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("fed: snapshot: %d trailing bytes", len(body)-r.off)
+	if r.Off != len(body) {
+		return nil, fmt.Errorf("fed: snapshot: %d trailing bytes", len(body)-r.Off)
 	}
 	return s, nil
 }

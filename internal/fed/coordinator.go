@@ -169,7 +169,6 @@ type deviceMeta struct {
 type Coordinator struct {
 	cfg     Config
 	flight  *obs.Flight
-	tracer  *obs.Tracer
 	metrics *coordMetrics
 
 	mu       sync.Mutex
@@ -213,7 +212,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	if hub := cfg.Obs; hub != nil {
 		c.flight = hub.Flight
-		c.tracer = hub.Tracer
 		if reg := hub.Reg; reg != nil {
 			reg.RegisterCounter("lofat_fed_sweeps", "", "Federated sweeps completed.", &c.metrics.sweeps)
 			reg.RegisterCounter("lofat_fed_node_failures", "", "Node exchanges lost after all attempts.", &c.metrics.nodeFailures)

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"lofat/internal/wire"
 )
 
 // FuzzWALReplay feeds arbitrary bytes to the WAL recovery path. The
@@ -16,9 +18,9 @@ import (
 // must not panic, must not loop, and must never silently succeed on a
 // log whose complete records are damaged.
 func FuzzWALReplay(f *testing.F) {
-	var valid writer
-	valid.buf = append(valid.buf, walMagic...)
-	valid.u16(SnapshotVersion)
+	var valid wire.Writer
+	valid.Buf = append(valid.Buf, walMagic...)
+	valid.U16(SnapshotVersion)
 	for _, rec := range []WALRecord{
 		{Kind: recUpsert, Device: testRecord(1)},
 		{Kind: recQuarantine, ID: "dev-b", On: true},
@@ -26,15 +28,15 @@ func FuzzWALReplay(f *testing.F) {
 		{Kind: recSweepGen, Gen: 5},
 	} {
 		body := encodeRecordBody(rec)
-		valid.u32(uint32(len(body)))
-		valid.u32(crc32.Checksum(body, crcTable))
-		valid.buf = append(valid.buf, body...)
+		valid.U32(uint32(len(body)))
+		valid.U32(crc32.Checksum(body, crcTable))
+		valid.Buf = append(valid.Buf, body...)
 	}
-	f.Add(valid.buf)
-	f.Add(valid.buf[:len(valid.buf)-3]) // torn tail
+	f.Add(valid.Buf)
+	f.Add(valid.Buf[:len(valid.Buf)-3]) // torn tail
 	f.Add([]byte(walMagic))
 	f.Add([]byte{})
-	mutated := append([]byte(nil), valid.buf...)
+	mutated := append([]byte(nil), valid.Buf...)
 	mutated[walHeaderLen+recHeaderLen+2] ^= 0xFF
 	f.Add(mutated)
 
@@ -91,15 +93,15 @@ func FuzzSnapshotLoad(f *testing.F) {
 // on disk — the integration of header validation, replay, torn-tail
 // truncation and append repositioning.
 func FuzzStoreOpen(f *testing.F) {
-	var valid writer
-	valid.buf = append(valid.buf, walMagic...)
-	valid.u16(SnapshotVersion)
+	var valid wire.Writer
+	valid.Buf = append(valid.Buf, walMagic...)
+	valid.U16(SnapshotVersion)
 	body := encodeRecordBody(WALRecord{Kind: recSweepGen, Gen: 3})
-	valid.u32(uint32(len(body)))
-	valid.u32(crc32.Checksum(body, crcTable))
-	valid.buf = append(valid.buf, body...)
-	f.Add(valid.buf)
-	f.Add(valid.buf[:len(valid.buf)-2])
+	valid.U32(uint32(len(body)))
+	valid.U32(crc32.Checksum(body, crcTable))
+	valid.Buf = append(valid.Buf, body...)
+	f.Add(valid.Buf)
+	f.Add(valid.Buf[:len(valid.Buf)-2])
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"lofat/internal/fed/faultfs"
+	"lofat/internal/wire"
 )
 
 // Store is a node's durability layer: a directory holding generations
@@ -141,16 +142,16 @@ func (s *Store) openWAL(state *State) error {
 		// Fresh WAL — or the header write itself torn by a crash. A
 		// strict prefix of the expected header is a crash artifact, so
 		// rewind and stamp a fresh one; any other bytes are damage.
-		var w writer
-		w.buf = append(w.buf, walMagic...)
-		w.u16(SnapshotVersion)
+		var w wire.Writer
+		w.Buf = append(w.Buf, walMagic...)
+		w.U16(SnapshotVersion)
 		if info.Size() > 0 {
 			got := make([]byte, info.Size())
 			if _, err := io.ReadFull(f, got); err != nil {
 				f.Close()
 				return fmt.Errorf("fed: store: %w", err)
 			}
-			if !bytes.Equal(got, w.buf[:len(got)]) {
+			if !bytes.Equal(got, w.Buf[:len(got)]) {
 				f.Close()
 				return fmt.Errorf("%w: wal: %d-byte file is not a header prefix", ErrCorrupt, info.Size())
 			}
@@ -163,7 +164,7 @@ func (s *Store) openWAL(state *State) error {
 				return fmt.Errorf("fed: store: %w", err)
 			}
 		}
-		if _, err := f.Write(w.buf); err != nil {
+		if _, err := f.Write(w.Buf); err != nil {
 			f.Close()
 			return fmt.Errorf("fed: store: write wal header: %w", err)
 		}
@@ -253,11 +254,11 @@ func (s *Store) Append(rec WALRecord) error {
 		return fmt.Errorf("fed: store: closed")
 	}
 	body := encodeRecordBody(rec)
-	var w writer
-	w.u32(uint32(len(body)))
-	w.u32(crc32.Checksum(body, crcTable))
-	w.buf = append(w.buf, body...)
-	if _, err := s.wal.Write(w.buf); err != nil {
+	var w wire.Writer
+	w.U32(uint32(len(body)))
+	w.U32(crc32.Checksum(body, crcTable))
+	w.Buf = append(w.Buf, body...)
+	if _, err := s.wal.Write(w.Buf); err != nil {
 		// Claw back whatever partial bytes the failed write left, so a
 		// later successful append never grafts a valid record onto a
 		// torn middle — replay would stop at the tear and silently drop
@@ -268,7 +269,7 @@ func (s *Store) Append(rec WALRecord) error {
 		}
 		return fmt.Errorf("fed: store: wal append: %w", err)
 	}
-	s.walLen += int64(len(w.buf))
+	s.walLen += int64(len(w.Buf))
 	s.records++
 	return nil
 }

@@ -1,11 +1,11 @@
 package stream
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"lofat/internal/attest"
 	"lofat/internal/hashengine"
+	"lofat/internal/wire"
 )
 
 // Wire format: the attest conventions — little-endian integers,
@@ -60,96 +60,34 @@ type CloseReport struct {
 	Chain    [hashengine.DigestSize]byte
 }
 
-type writer struct{ buf []byte }
-
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("stream: decode: truncated %s at offset %d", what, r.off)
-	}
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) raw(n int, what string) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail(what)
-		return nil
-	}
-	v := r.buf[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n > len(r.buf)-r.off {
-		r.fail("bytes")
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, r.buf[r.off:])
-	r.off += n
-	return v
-}
-
-func (r *reader) finish(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("stream: %d trailing bytes in %s", len(r.buf)-r.off, what)
-	}
-	return nil
-}
-
 // EncodeOpen serializes an open request.
 func EncodeOpen(o *OpenRequest) []byte {
-	var w writer
-	w.buf = append(w.buf, o.Program[:]...)
-	w.buf = append(w.buf, o.Nonce[:]...)
-	w.u32(o.SegmentEvents)
-	w.u32(uint32(len(o.Input)))
+	var w wire.Writer
+	w.Buf = append(w.Buf, o.Program[:]...)
+	w.Buf = append(w.Buf, o.Nonce[:]...)
+	w.U32(o.SegmentEvents)
+	w.U32(uint32(len(o.Input)))
 	for _, v := range o.Input {
-		w.u32(v)
+		w.U32(v)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // DecodeOpen parses an open request.
 func DecodeOpen(b []byte) (*OpenRequest, error) {
 	var o OpenRequest
-	r := &reader{buf: b}
-	copy(o.Program[:], r.raw(len(o.Program), "program"))
-	copy(o.Nonce[:], r.raw(len(o.Nonce), "nonce"))
-	o.SegmentEvents = r.u32()
-	n := int(r.u32())
-	if r.err == nil && n > (len(b)-r.off)/4 {
+	r := &wire.Reader{Prefix: "stream", Buf: b}
+	copy(o.Program[:], r.Raw(len(o.Program), "program"))
+	copy(o.Nonce[:], r.Raw(len(o.Nonce), "nonce"))
+	o.SegmentEvents = r.U32()
+	n := int(r.U32())
+	if r.Err == nil && n > (len(b)-r.Off)/4 {
 		return nil, fmt.Errorf("stream: absurd input count %d", n)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		o.Input = append(o.Input, r.u32())
+	for i := 0; i < n && r.Err == nil; i++ {
+		o.Input = append(o.Input, r.U32())
 	}
-	if err := r.finish("open request"); err != nil {
+	if err := r.Finish("open request"); err != nil {
 		return nil, err
 	}
 	return &o, nil
@@ -167,53 +105,53 @@ const segmentDomain = "lofat-stream-segment-v1\x00"
 // recomputes the chain link from the received edges before trusting
 // either.
 func SegmentPayload(s *SegmentReport) []byte {
-	var w writer
-	w.buf = make([]byte, 0, len(segmentDomain)+2*32+8+hashengine.DigestSize)
-	w.buf = append(w.buf, segmentDomain...)
-	w.buf = append(w.buf, s.Program[:]...)
-	w.buf = append(w.buf, s.Nonce[:]...)
-	w.u32(s.Index)
-	w.u32(s.Events)
-	w.buf = append(w.buf, s.Chain[:]...)
-	return w.buf
+	var w wire.Writer
+	w.Buf = make([]byte, 0, len(segmentDomain)+2*32+8+hashengine.DigestSize)
+	w.Buf = append(w.Buf, segmentDomain...)
+	w.Buf = append(w.Buf, s.Program[:]...)
+	w.Buf = append(w.Buf, s.Nonce[:]...)
+	w.U32(s.Index)
+	w.U32(s.Events)
+	w.Buf = append(w.Buf, s.Chain[:]...)
+	return w.Buf
 }
 
 // EncodeSegment serializes a segment report.
 func EncodeSegment(s *SegmentReport) []byte {
-	var w writer
-	w.buf = make([]byte, 0, 2*32+8+hashengine.DigestSize+8*len(s.Edges)+len(s.Sig)+8)
-	w.buf = append(w.buf, s.Program[:]...)
-	w.buf = append(w.buf, s.Nonce[:]...)
-	w.u32(s.Index)
-	w.u32(s.Events)
-	w.buf = append(w.buf, s.Chain[:]...)
-	w.u32(uint32(len(s.Edges)))
+	var w wire.Writer
+	w.Buf = make([]byte, 0, 2*32+8+hashengine.DigestSize+8*len(s.Edges)+len(s.Sig)+8)
+	w.Buf = append(w.Buf, s.Program[:]...)
+	w.Buf = append(w.Buf, s.Nonce[:]...)
+	w.U32(s.Index)
+	w.U32(s.Events)
+	w.Buf = append(w.Buf, s.Chain[:]...)
+	w.U32(uint32(len(s.Edges)))
 	for _, p := range s.Edges {
-		w.u32(p.Src)
-		w.u32(p.Dest)
+		w.U32(p.Src)
+		w.U32(p.Dest)
 	}
-	w.bytes(s.Sig)
-	return w.buf
+	w.Bytes(s.Sig)
+	return w.Buf
 }
 
 // DecodeSegment parses a segment report.
 func DecodeSegment(b []byte) (*SegmentReport, error) {
 	var s SegmentReport
-	r := &reader{buf: b}
-	copy(s.Program[:], r.raw(len(s.Program), "program"))
-	copy(s.Nonce[:], r.raw(len(s.Nonce), "nonce"))
-	s.Index = r.u32()
-	s.Events = r.u32()
-	copy(s.Chain[:], r.raw(len(s.Chain), "chain"))
-	n := int(r.u32())
-	if r.err == nil && n > (len(b)-r.off)/8 {
+	r := &wire.Reader{Prefix: "stream", Buf: b}
+	copy(s.Program[:], r.Raw(len(s.Program), "program"))
+	copy(s.Nonce[:], r.Raw(len(s.Nonce), "nonce"))
+	s.Index = r.U32()
+	s.Events = r.U32()
+	copy(s.Chain[:], r.Raw(len(s.Chain), "chain"))
+	n := int(r.U32())
+	if r.Err == nil && n > (len(b)-r.Off)/8 {
 		return nil, fmt.Errorf("stream: absurd edge count %d", n)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		s.Edges = append(s.Edges, hashengine.Pair{Src: r.u32(), Dest: r.u32()})
+	for i := 0; i < n && r.Err == nil; i++ {
+		s.Edges = append(s.Edges, hashengine.Pair{Src: r.U32(), Dest: r.U32()})
 	}
-	s.Sig = r.bytes()
-	if err := r.finish("segment report"); err != nil {
+	s.Sig = r.Bytes()
+	if err := r.Finish("segment report"); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -222,21 +160,21 @@ func DecodeSegment(b []byte) (*SegmentReport, error) {
 // EncodeClose serializes a close report; the embedded end-of-run
 // report reuses the attest codec.
 func EncodeClose(c *CloseReport) []byte {
-	var w writer
-	w.u32(c.Segments)
-	w.buf = append(w.buf, c.Chain[:]...)
-	w.bytes(attest.EncodeReport(&c.Report))
-	return w.buf
+	var w wire.Writer
+	w.U32(c.Segments)
+	w.Buf = append(w.Buf, c.Chain[:]...)
+	w.Bytes(attest.EncodeReport(&c.Report))
+	return w.Buf
 }
 
 // DecodeClose parses a close report.
 func DecodeClose(b []byte) (*CloseReport, error) {
 	var c CloseReport
-	r := &reader{buf: b}
-	c.Segments = r.u32()
-	copy(c.Chain[:], r.raw(len(c.Chain), "chain"))
-	enc := r.bytes()
-	if err := r.finish("close report"); err != nil {
+	r := &wire.Reader{Prefix: "stream", Buf: b}
+	c.Segments = r.U32()
+	copy(c.Chain[:], r.Raw(len(c.Chain), "chain"))
+	enc := r.Bytes()
+	if err := r.Finish("close report"); err != nil {
 		return nil, err
 	}
 	rep, err := attest.DecodeReport(enc)

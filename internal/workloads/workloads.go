@@ -6,8 +6,7 @@
 // scenarios of Figure 1 (non-control data, loop counter, code pointer).
 //
 // All programs are written in RV32IM assembly and assembled by
-// internal/asm; this substitutes for the paper's GCC-built binaries (see
-// DESIGN.md's substitution ledger).
+// internal/asm; this substitutes for the paper's GCC-built binaries.
 package workloads
 
 import (
