@@ -19,10 +19,12 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 
 	"lofat"
 	"lofat/internal/attest"
 	"lofat/internal/hashengine"
+	"lofat/internal/obs"
 	"lofat/internal/sig"
 	"lofat/internal/workloads"
 )
@@ -108,23 +110,40 @@ func deviceConfig(w workloads.Workload, prog *lofat.Program) (lofat.DeviceConfig
 	return cfg, nil
 }
 
-func provision(seed int64) (io.Reader, error) {
+func provision(seed int64) io.Reader {
 	if seed == 0 {
-		return rand.Reader, nil
+		return rand.Reader
 	}
-	return newDRBG(seed), nil
+	return newDRBG(seed)
+}
+
+// attackByName resolves the -attack flag: the empty name arms nothing,
+// an unknown one is an error naming the valid attacks.
+func attackByName(name string) (*workloads.Attack, error) {
+	if name == "" {
+		return nil, nil
+	}
+	if atk, ok := workloads.AttackByName(name); ok {
+		return &atk, nil
+	}
+	var names []string
+	for _, a := range workloads.Attacks() {
+		names = append(names, a.Name)
+	}
+	return nil, fmt.Errorf("unknown attack %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 func runServer(addr string, seed int64, attackName string) error {
-	entropy, err := provision(seed)
+	atk, err := attackByName(attackName)
 	if err != nil {
 		return err
 	}
-	keys, err := sig.GenerateKeyStore(entropy)
+	keys, err := sig.GenerateKeyStore(provision(seed))
 	if err != nil {
 		return err
 	}
 	reg := attest.NewRegistry()
+	armed := atk == nil
 	for _, w := range workloads.All2() {
 		prog, err := w.Assemble()
 		if err != nil {
@@ -135,13 +154,15 @@ func runServer(addr string, seed int64, attackName string) error {
 			return err
 		}
 		p := attest.NewProver(prog, devCfg, keys)
-		if attackName != "" {
-			if atk, ok := workloads.AttackByName(attackName); ok && atk.Workload.Name == w.Name {
-				p.Adversary = atk.Build(prog)
-				fmt.Printf("attack %q armed on %s\n", attackName, w.Name)
-			}
+		if atk != nil && atk.Workload.Name == w.Name {
+			p.Adversary = atk.Build(prog)
+			fmt.Printf("attack %q armed on %s\n", attackName, w.Name)
+			armed = true
 		}
 		reg.Register(p)
+	}
+	if !armed {
+		return fmt.Errorf("attack %q targets %s, which -serve does not host (use -demo)", attackName, atk.Workload.Name)
 	}
 	srv := attest.NewServer(reg)
 	bound, err := srv.Listen(addr)
@@ -161,11 +182,7 @@ func runClient(addr string, seed int64, workload string, rounds int) error {
 	if err != nil {
 		return err
 	}
-	entropy, err := provision(seed)
-	if err != nil {
-		return err
-	}
-	keys, err := sig.GenerateKeyStore(entropy) // same seed => same public key
+	keys, err := sig.GenerateKeyStore(provision(seed)) // same seed => same public key
 	if err != nil {
 		return err
 	}
@@ -177,13 +194,20 @@ func runClient(addr string, seed int64, workload string, rounds int) error {
 	if err != nil {
 		return err
 	}
+	return attestRounds(addr, v, w.Input, rounds, nil)
+}
+
+// attestRounds drives rounds exchanges over one connection to addr and
+// prints each verdict; with an attack armed, a round the verifier does
+// not classify as the attack expects is an error.
+func attestRounds(addr string, v *attest.Verifier, input []uint32, rounds int, atk *workloads.Attack) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	for i := 0; i < rounds; i++ {
-		res, err := attest.RequestAttestation(conn, v, w.Input)
+		res, err := attest.RequestAttestation(conn, v, input, attest.Timeouts{}, obs.Scope{})
 		if err != nil {
 			return err
 		}
@@ -191,38 +215,29 @@ func runClient(addr string, seed int64, workload string, rounds int) error {
 		for _, f := range res.Findings {
 			fmt.Printf("  finding: %s\n", f)
 		}
+		if atk != nil && res.Class != atk.Expect {
+			return fmt.Errorf("expected classification %v, got %v", atk.Expect, res.Class)
+		}
 	}
 	return nil
 }
 
 func runDemo(workload, attackName string, rounds int) error {
 	w, ok := workloads.ByName(workload)
-	var prog *lofat.Program
-	var err error
-	var adv lofat.Adversary
-	var expect lofat.Classification = lofat.ClassAccepted
-
-	if attackName != "" {
-		atk, okA := workloads.AttackByName(attackName)
-		if !okA {
-			return fmt.Errorf("unknown attack %q", attackName)
-		}
+	atk, err := attackByName(attackName)
+	if err != nil {
+		return err
+	}
+	if atk != nil {
 		w, ok = atk.Workload, true
-		prog, err = w.Assemble()
-		if err != nil {
-			return err
-		}
-		adv = atk.Build(prog)
-		expect = atk.Expect
 		fmt.Printf("injecting attack %q (class %d): %s\n", atk.Name, atk.Class, atk.Description)
-	} else {
-		if !ok {
-			return fmt.Errorf("unknown workload %q", workload)
-		}
-		prog, err = w.Assemble()
-		if err != nil {
-			return err
-		}
+	}
+	if !ok {
+		return fmt.Errorf("unknown workload %q", workload)
+	}
+	prog, err := w.Assemble()
+	if err != nil {
+		return err
 	}
 
 	keys, err := sig.GenerateKeyStore(rand.Reader)
@@ -234,54 +249,23 @@ func runDemo(workload, attackName string, rounds int) error {
 		return err
 	}
 	prover := attest.NewProver(prog, devCfg, keys)
-	prover.Adversary = adv
+	if atk != nil {
+		prover.Adversary = atk.Build(prog)
+	}
 	verifier, err := attest.NewVerifier(prog, devCfg, keys.Public(), rand.Reader)
 	if err != nil {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	reg := attest.NewRegistry()
+	reg.Register(prover)
+	srv := attest.NewServer(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	defer ln.Close()
-	fmt.Printf("prover listening on %s, program %v\n", ln.Addr(), prover.ProgramID())
+	defer srv.Close()
+	fmt.Printf("prover listening on %s, program %v\n", addr, prover.ProgramID())
 
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < rounds; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				done <- err
-				return
-			}
-			err = attest.ServeProver(conn, prover)
-			conn.Close()
-			if err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-
-	for i := 0; i < rounds; i++ {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			return err
-		}
-		res, err := attest.RequestAttestation(conn, verifier, w.Input)
-		conn.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("round %d: %v\n", i+1, res)
-		for _, f := range res.Findings {
-			fmt.Printf("  finding: %s\n", f)
-		}
-		if attackName != "" && res.Class != expect {
-			return fmt.Errorf("expected classification %v, got %v", expect, res.Class)
-		}
-	}
-	return <-done
+	return attestRounds(addr.String(), verifier, w.Input, rounds, atk)
 }

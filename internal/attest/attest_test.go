@@ -8,6 +8,7 @@ import (
 
 	. "lofat/internal/attest"
 	"lofat/internal/core"
+	"lofat/internal/obs"
 	"lofat/internal/sig"
 	"lofat/internal/workloads"
 )
@@ -281,6 +282,8 @@ func TestProtocolOverTCP(t *testing.T) {
 	}
 	defer ln.Close()
 
+	reg := NewRegistry()
+	reg.Register(p)
 	errc := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
@@ -289,15 +292,15 @@ func TestProtocolOverTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		errc <- ServeProver(conn, p)
+		errc <- reg.ServeConn(conn)
 	}()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	res, err := RequestAttestation(conn, v, workloads.SyringePump().Input)
+	res, err := RequestAttestation(conn, v, workloads.SyringePump().Input, Timeouts{}, obs.Scope{})
+	conn.Close() // EOF ends the prover's serve loop
 	if err != nil {
 		t.Fatal(err)
 	}

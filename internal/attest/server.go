@@ -8,8 +8,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"lofat/internal/obs"
 )
 
 // Registry hosts multiple attestable programs on one prover device —
@@ -280,23 +278,4 @@ func (c *idleConn) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	return c.conn.Write(p)
-}
-
-// RequestFrom drives one challenge-response exchange for input against
-// an already-open connection to a registry server (connections are
-// reusable across rounds).
-func RequestFrom(conn io.ReadWriter, v *Verifier, input []uint32) (Result, error) {
-	return RequestAttestation(conn, v, input)
-}
-
-// RequestFromTimeout is RequestFrom with per-phase I/O deadlines (see
-// RequestAttestationTimeout).
-func RequestFromTimeout(conn io.ReadWriter, v *Verifier, input []uint32, to Timeouts) (Result, error) {
-	return RequestAttestationTimeout(conn, v, input, to)
-}
-
-// RequestFromScoped is RequestFromTimeout with round tracing (see
-// RequestAttestationScoped).
-func RequestFromScoped(conn io.ReadWriter, v *Verifier, input []uint32, to Timeouts, sc obs.Scope) (Result, error) {
-	return RequestAttestationScoped(conn, v, input, to, sc)
 }

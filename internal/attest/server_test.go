@@ -9,6 +9,7 @@ import (
 
 	. "lofat/internal/attest"
 	"lofat/internal/core"
+	"lofat/internal/obs"
 	"lofat/internal/sig"
 	"lofat/internal/workloads"
 )
@@ -65,7 +66,7 @@ func TestRegistryRouting(t *testing.T) {
 	defer conn.Close()
 
 	for _, name := range []string{"dispatch", "syringe-pump", "crc32", "dispatch"} {
-		res, err := RequestFrom(conn, verifiers[name], ws[name].Input)
+		res, err := RequestAttestation(conn, verifiers[name], ws[name].Input, Timeouts{}, obs.Scope{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -98,7 +99,7 @@ func TestRegistryUnknownProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := RequestFrom(conn, v, w.Input); err == nil {
+	if _, err := RequestAttestation(conn, v, w.Input, Timeouts{}, obs.Scope{}); err == nil {
 		t.Error("unknown program request succeeded")
 	}
 }
@@ -124,7 +125,7 @@ func TestFailedExchangeRetiresNonce(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		client, server := net.Pipe()
 		server.Close()
-		if _, err := RequestFrom(client, v, ws["syringe-pump"].Input); err == nil {
+		if _, err := RequestAttestation(client, v, ws["syringe-pump"].Input, Timeouts{}, obs.Scope{}); err == nil {
 			t.Fatal("exchange with hung-up prover succeeded")
 		}
 		client.Close()
@@ -203,7 +204,7 @@ func TestRegistryServeConnConcurrent(t *testing.T) {
 			}()
 			// Several rounds per connection: connections are reusable.
 			for r := 0; r < 3; r++ {
-				res, err := RequestFrom(client, verifiers[name], ws[name].Input)
+				res, err := RequestAttestation(client, verifiers[name], ws[name].Input, Timeouts{}, obs.Scope{})
 				if err != nil {
 					errs <- fmt.Errorf("%s round %d: %w", name, r, err)
 					return
@@ -249,7 +250,7 @@ func TestServerConcurrentClients(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			res, err := RequestFrom(conn, verifiers[name], ws[name].Input)
+			res, err := RequestAttestation(conn, verifiers[name], ws[name].Input, Timeouts{}, obs.Scope{})
 			if err != nil {
 				errs <- err
 				return

@@ -154,57 +154,22 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// ServeProver handles one attestation exchange on conn: receive a
-// challenge, attest, reply with the report (or an error frame). It
-// returns after one exchange; callers loop for persistent service.
-func ServeProver(conn io.ReadWriter, p *Prover) error {
-	typ, payload, err := ReadFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != MsgChallenge {
-		return fmt.Errorf("attest: prover expected challenge, got type %d", typ)
-	}
-	ch, err := DecodeChallenge(payload)
-	if err != nil {
-		return err
-	}
-	rep, err := p.Attest(*ch)
-	if err != nil {
-		// Report the failure without leaking internals.
-		_ = WriteFrame(conn, MsgError, []byte("attestation failed"))
-		return err
-	}
-	return WriteFrame(conn, MsgReport, EncodeReport(rep))
-}
-
 // RequestAttestation drives one exchange from the verifier side: send a
 // fresh challenge for input, receive the report, and verify it. On any
 // failure before verification the challenge nonce is retired, so failed
 // exchanges (unreachable or misbehaving provers) do not grow the
 // verifier's issued-nonce set — long-lived verifiers polling flaky
-// devices stay bounded.
-func RequestAttestation(conn io.ReadWriter, v *Verifier, input []uint32) (Result, error) {
-	return RequestAttestationTimeout(conn, v, input, Timeouts{})
-}
-
-// RequestAttestationTimeout is RequestAttestation with per-phase I/O
-// deadlines: the challenge write and the report read each get their own
-// deadline when the conn supports them (DeadlineConn), so a prover that
+// devices stay bounded. conn may be reused across rounds.
+//
+// The challenge write and the report read each get their own deadline
+// from to when the conn supports them (DeadlineConn), so a prover that
 // accepts the challenge and then stalls — mid-frame or by going silent —
 // fails the exchange with a TransportError whose Timeout() is true
-// instead of blocking forever. Deadlines armed here are cleared before
-// returning, keeping the connection reusable.
-func RequestAttestationTimeout(conn io.ReadWriter, v *Verifier, input []uint32, to Timeouts) (Result, error) {
-	return RequestAttestationScoped(conn, v, input, to, obs.Scope{})
-}
-
-// RequestAttestationScoped is RequestAttestationTimeout with round
-// tracing: the network phase (challenge write through report read) and
-// the verification phase are recorded as "exchange" and "verify" spans
-// on sc's track. The zero Scope disables tracing at the cost of one
-// branch per span — this is the variant the fleet pipeline calls.
-func RequestAttestationScoped(conn io.ReadWriter, v *Verifier, input []uint32, to Timeouts, sc obs.Scope) (Result, error) {
+// instead of blocking forever; deadlines armed here are cleared before
+// returning. The network and verification phases are recorded as
+// "exchange" and "verify" spans on sc's track. The zero Timeouts and
+// the zero Scope mean no deadline and no tracing.
+func RequestAttestation(conn io.ReadWriter, v *Verifier, input []uint32, to Timeouts, sc obs.Scope) (Result, error) {
 	ch, err := v.NewChallenge(input)
 	if err != nil {
 		return Result{}, &LocalError{Err: err}

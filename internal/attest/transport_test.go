@@ -9,6 +9,7 @@ import (
 	"time"
 
 	. "lofat/internal/attest"
+	"lofat/internal/obs"
 )
 
 // callCountingWriter records each Write it receives.
@@ -94,7 +95,7 @@ func TestRequestTimeoutStalledProver(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err := RequestFromTimeout(client, v, ws["syringe-pump"].Input, Timeouts{Read: 100 * time.Millisecond})
+	_, err := RequestAttestation(client, v, ws["syringe-pump"].Input, Timeouts{Read: 100 * time.Millisecond}, obs.Scope{})
 	elapsed := time.Since(start)
 	var te *TransportError
 	if !errors.As(err, &te) || !te.Timeout() {
@@ -211,13 +212,39 @@ func TestTimeoutsDisarmKeepsConnReusable(t *testing.T) {
 
 	v := verifiers["syringe-pump"]
 	input := ws["syringe-pump"].Input
-	if res, err := RequestFromTimeout(conn, v, input, Timeouts{Read: 5 * time.Second, Write: 5 * time.Second}); err != nil || !res.Accepted {
+	if res, err := RequestAttestation(conn, v, input, Timeouts{Read: 5 * time.Second, Write: 5 * time.Second}, obs.Scope{}); err != nil || !res.Accepted {
 		t.Fatalf("timed exchange: %v %v", res, err)
 	}
 	// Were the deadline left armed, this follow-up exchange would fail
 	// once it expired.
 	time.Sleep(10 * time.Millisecond)
-	if res, err := RequestFrom(conn, v, input); err != nil || !res.Accepted {
+	if res, err := RequestAttestation(conn, v, input, Timeouts{}, obs.Scope{}); err != nil || !res.Accepted {
 		t.Fatalf("follow-up exchange after disarm: %v %v", res, err)
 	}
+	// Negative timeouts reach here unclamped from fleet.Config and
+	// fed.Config ("a negative value disables that deadline"): they must
+	// arm and clear nothing.
+	spy := &deadlineSpy{Conn: conn}
+	if res, err := RequestAttestation(spy, v, input, Timeouts{Read: -1, Write: -time.Second}, obs.Scope{}); err != nil || !res.Accepted {
+		t.Fatalf("exchange with negative timeouts: %v %v", res, err)
+	}
+	if spy.calls != 0 {
+		t.Fatalf("negative timeouts touched the conn's deadlines %d times", spy.calls)
+	}
+}
+
+// deadlineSpy counts deadline changes on the conn it wraps.
+type deadlineSpy struct {
+	net.Conn
+	calls int
+}
+
+func (c *deadlineSpy) SetReadDeadline(t time.Time) error {
+	c.calls++
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *deadlineSpy) SetWriteDeadline(t time.Time) error {
+	c.calls++
+	return c.Conn.SetWriteDeadline(t)
 }

@@ -170,6 +170,19 @@ func (v *Verifier) expected(input []uint32) (*core.Measurement, error) {
 	})
 }
 
+// Precompute golden-runs every input ahead of time — the deployment
+// mode C-FLAT describes and §3 implies for devices whose input space is
+// small and enumerable. Verify on a precomputed input then hits the
+// expectation memo and never simulates.
+func (v *Verifier) Precompute(inputs [][]uint32) error {
+	for _, in := range inputs {
+		if _, err := v.expected(in); err != nil {
+			return fmt.Errorf("attest: precompute %v: %w", in, err)
+		}
+	}
+	return nil
+}
+
 // ExpectedCustom returns (computing and caching on first use) a golden
 // measurement produced by a caller-supplied measurement procedure,
 // under the verifier's two-layer cache (private memo + shared

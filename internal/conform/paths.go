@@ -134,7 +134,7 @@ func runFleet(sub *subject, muts []*Mutation) (map[string][]Verdict, error) {
 	for _, id := range svc.Quarantined() {
 		svc.Release(id)
 	}
-	if _, err := svc.SweepProgramStreamed(progID, nil); err != nil {
+	if _, err := svc.RunSweep(fleet.SweepRequest{Program: progID, Streamed: true}); err != nil {
 		return nil, fmt.Errorf("streamed sweep: %w", err)
 	}
 	if err := collect("fleet-stream", 2); err != nil {

@@ -44,8 +44,8 @@ const (
 	recUpsert byte = 1
 	// recForget: device removed (federation hand-off or teardown).
 	recForget byte = 2
-	// recQuarantine: operator quarantine flag change; clearing it also
-	// clears the streaks and breaker, mirroring fleet.SetQuarantined.
+	// recQuarantine: operator quarantine flag change (see
+	// DeviceRecord.setQuarantined for what clearing it also clears).
 	recQuarantine byte = 3
 	// recCacheKey: a measurement-cache key the node has warmed.
 	recCacheKey byte = 4
@@ -122,6 +122,21 @@ func (r DeviceRecord) State() fleet.DeviceState {
 		ConsecutiveTransportFails: int(r.TransportFails),
 		BreakerGen:                r.BreakerGen,
 	}
+}
+
+// setQuarantined applies an operator quarantine change to the record by
+// the rule fleet.Registry.Release applies to the live device, so the
+// node's persisted picture and a WAL replay agree with the registry:
+// releasing also clears the reject streak and resets the breaker.
+func (r *DeviceRecord) setQuarantined(on bool) {
+	r.Quarantined = on
+	if on {
+		return
+	}
+	r.ConsecutiveRejects = 0
+	br := fleet.Breaker{State: r.Breaker, Fails: int(r.TransportFails), Gen: r.BreakerGen}
+	br.Reset()
+	r.Breaker, r.TransportFails, r.BreakerGen = br.State, uint32(br.Fails), br.Gen
 }
 
 // WALRecord is one append-only log entry. Kind selects which of the
@@ -253,14 +268,7 @@ func (s *State) Apply(rec WALRecord) {
 		if !ok {
 			return
 		}
-		d.Quarantined = rec.On
-		if !rec.On {
-			// Mirror fleet.SetQuarantined(id, false): release clears the
-			// streaks and closes the breaker.
-			d.ConsecutiveRejects = 0
-			d.TransportFails = 0
-			d.Breaker = fleet.BreakerHealthy
-		}
+		d.setQuarantined(rec.On)
 		s.Devices[rec.ID] = d
 	case recCacheKey:
 		s.CacheKeys[rec.Key] = struct{}{}

@@ -87,26 +87,6 @@ func (c *Config) fill() {
 	}
 }
 
-func (c *Config) timeouts() attest.Timeouts {
-	to := attest.Timeouts{Read: c.ReadTimeout, Write: c.WriteTimeout}
-	if to.Read < 0 {
-		to.Read = 0
-	}
-	if to.Write < 0 {
-		to.Write = 0
-	}
-	return to
-}
-
-func (c *Config) sweepTimeouts() attest.Timeouts {
-	to := c.timeouts()
-	to.Read = c.SweepTimeout
-	if to.Read < 0 {
-		to.Read = 0
-	}
-	return to
-}
-
 // nodeClient is the coordinator's handle on one member node: a
 // persistent control-plane connection (re-dialled on failure) plus the
 // node's circuit-breaker bookkeeping.
@@ -129,9 +109,7 @@ type nodeClient struct {
 	conn   io.ReadWriteCloser
 	closed bool
 
-	fails      int
-	breaker    fleet.BreakerState
-	breakerGen uint64
+	breaker fleet.Breaker
 	// lame mirrors the node's last reported lame-duck flag; the sweep
 	// planner deprioritises lame nodes when choosing acting replicas.
 	lame    bool
@@ -279,11 +257,8 @@ func (c *Coordinator) Join(id NodeID, dial DialFunc) (*RebalanceReport, error) {
 	c.mu.Unlock()
 
 	// Register every known program before the node owns any devices.
-	for _, spec := range progs {
-		var resp okResp
-		if _, err := c.request(nc, msgRegister, spec, msgOK, &resp, c.cfg.timeouts()); err != nil {
-			return nil, fmt.Errorf("fed: join %s: register program: %w", id, err)
-		}
+	if err := c.registerAll(nc, progs); err != nil {
+		return nil, fmt.Errorf("fed: join %s: %w", id, err)
 	}
 
 	c.mu.Lock()
@@ -345,12 +320,7 @@ func (c *Coordinator) Rejoin(id NodeID, dial DialFunc) error {
 	c.topoGen++
 	progs := c.programSpecs()
 	owned := c.ownedBy(id)
-	peers := make(map[NodeID]*nodeClient, len(c.clients))
-	for pid, pc := range c.clients {
-		if pid != id {
-			peers[pid] = pc
-		}
-	}
+	peers := c.clientsLocked()
 	peerOf := make(map[fleet.DeviceID]NodeID, len(owned))
 	for _, dev := range owned {
 		for _, o := range c.ring.AssignN(string(dev.id), c.cfg.Replicas) {
@@ -362,11 +332,8 @@ func (c *Coordinator) Rejoin(id NodeID, dial DialFunc) error {
 	}
 	c.mu.Unlock()
 
-	for _, spec := range progs {
-		var resp okResp
-		if _, err := c.request(nc, msgRegister, spec, msgOK, &resp, c.cfg.timeouts()); err != nil {
-			return fmt.Errorf("fed: rejoin %s: register program: %w", id, err)
-		}
+	if err := c.registerAll(nc, progs); err != nil {
+		return fmt.Errorf("fed: rejoin %s: %w", id, err)
 	}
 
 	// Tier 1: pull authoritative records from live peer replicas, then
@@ -387,8 +354,8 @@ func (c *Coordinator) Rejoin(id NodeID, dial DialFunc) error {
 	sort.Slice(peerIDs, func(i, j int) bool { return peerIDs[i] < peerIDs[j] })
 	for _, peer := range peerIDs {
 		ids := byPeer[peer]
-		var recs recordsResp
-		if _, err := c.request(peers[peer], msgFetch, fetchReq{Devices: ids}, msgRecords, &recs, c.cfg.timeouts()); err != nil {
+		recs, err := ask[recordsResp](c, peers[peer], msgFetch, fetchReq{Devices: ids}, msgRecords)
+		if err != nil {
 			continue
 		}
 		if len(recs.Records) == 0 {
@@ -409,15 +376,14 @@ func (c *Coordinator) Rejoin(id NodeID, dial DialFunc) error {
 		if synced[dev.id] {
 			continue
 		}
-		var st stateResp
-		if _, err := c.request(nc, msgGet, deviceReq{Device: dev.id}, msgState, &st, c.cfg.timeouts()); err != nil {
+		st, err := ask[stateResp](c, nc, msgGet, deviceReq{Device: dev.id}, msgState)
+		if err != nil {
 			return fmt.Errorf("fed: rejoin %s: query device %q: %w", id, dev.id, err)
 		}
 		if st.Found {
 			continue
 		}
-		var ok okResp
-		if _, err := c.request(nc, msgEnroll, enrollReq{State: freshState(dev.id, dev.meta)}, msgOK, &ok, c.cfg.timeouts()); err != nil {
+		if _, err := ask[okResp](c, nc, msgEnroll, enrollReq{State: freshState(dev.id, dev.meta)}, msgOK); err != nil {
 			return fmt.Errorf("fed: rejoin %s: re-enroll device %q: %w", id, dev.id, err)
 		}
 	}
@@ -437,8 +403,7 @@ func (c *Coordinator) pushRecords(nc *nodeClient, recs []DeviceRecord) error {
 			chunk = chunk[:syncChunk]
 		}
 		recs = recs[len(chunk):]
-		var resp okResp
-		if _, err := c.request(nc, msgSync, syncReq{Records: chunk}, msgOK, &resp, c.cfg.timeouts()); err != nil {
+		if _, err := ask[okResp](c, nc, msgSync, syncReq{Records: chunk}, msgOK); err != nil {
 			return err
 		}
 	}
@@ -471,6 +436,26 @@ func (c *Coordinator) programSpecs() []registerReq {
 	out := make([]registerReq, 0, len(c.programs))
 	for _, spec := range c.programs {
 		out = append(out, spec)
+	}
+	return out
+}
+
+// registerAll registers every program spec on one node.
+func (c *Coordinator) registerAll(nc *nodeClient, progs []registerReq) error {
+	for _, spec := range progs {
+		if _, err := ask[okResp](c, nc, msgRegister, spec, msgOK); err != nil {
+			return fmt.Errorf("register program: %w", err)
+		}
+	}
+	return nil
+}
+
+// clientsLocked snapshots the member clients by node ID. Caller holds
+// c.mu.
+func (c *Coordinator) clientsLocked() map[NodeID]*nodeClient {
+	out := make(map[NodeID]*nodeClient, len(c.clients))
+	for id, nc := range c.clients {
+		out[id] = nc
 	}
 	return out
 }
@@ -535,10 +520,7 @@ func (c *Coordinator) rebalance(old *Ring, changed NodeID, joined bool) *Rebalan
 		moves = append(moves, mv)
 	}
 	sort.Slice(moves, func(i, j int) bool { return moves[i].id < moves[j].id })
-	clients := make(map[NodeID]*nodeClient, len(c.clients))
-	for id, nc := range c.clients {
-		clients[id] = nc
-	}
+	clients := c.clientsLocked()
 	c.mu.Unlock()
 
 	for _, mv := range moves {
@@ -553,8 +535,7 @@ func (c *Coordinator) rebalance(old *Ring, changed NodeID, joined bool) *Rebalan
 			// moves the state and drains the old copy in one exchange.
 			if len(removedPool) > 0 {
 				if from := clients[removedPool[0]]; from != nil {
-					var st stateResp
-					if _, err := c.request(from, msgTransfer, deviceReq{Device: mv.id}, msgState, &st, c.cfg.timeouts()); err == nil && st.Found {
+					if st, err := ask[stateResp](c, from, msgTransfer, deviceReq{Device: mv.id}, msgState); err == nil && st.Found {
 						state = st.State
 						got = true
 						removedPool = removedPool[1:]
@@ -565,8 +546,7 @@ func (c *Coordinator) rebalance(old *Ring, changed NodeID, joined bool) *Rebalan
 			if !got {
 				for _, src := range mv.survivors {
 					if from := clients[src]; from != nil {
-						var st stateResp
-						if _, err := c.request(from, msgGet, deviceReq{Device: mv.id}, msgState, &st, c.cfg.timeouts()); err == nil && st.Found {
+						if st, err := ask[stateResp](c, from, msgGet, deviceReq{Device: mv.id}, msgState); err == nil && st.Found {
 							state = st.State
 							got = true
 							break
@@ -579,8 +559,7 @@ func (c *Coordinator) rebalance(old *Ring, changed NodeID, joined bool) *Rebalan
 				rep.Errors = append(rep.Errors, fmt.Sprintf("%s: new owner %s has no client", mv.id, target))
 				continue
 			}
-			var ok okResp
-			if _, err := c.request(to, msgEnroll, enrollReq{State: state}, msgOK, &ok, c.cfg.timeouts()); err != nil {
+			if _, err := ask[okResp](c, to, msgEnroll, enrollReq{State: state}, msgOK); err != nil {
 				// A refusal usually means the target already holds the
 				// device — a warm copy from an earlier topology, or a
 				// concurrent sweep's anti-entropy push landing first.
@@ -611,8 +590,7 @@ func (c *Coordinator) rebalance(old *Ring, changed NodeID, joined bool) *Rebalan
 		// wasted memory, never authoritative).
 		for _, holder := range removedPool {
 			if from := clients[holder]; from != nil {
-				var st stateResp
-				_, _ = c.request(from, msgTransfer, deviceReq{Device: mv.id}, msgState, &st, c.cfg.timeouts())
+				_, _ = ask[stateResp](c, from, msgTransfer, deviceReq{Device: mv.id}, msgState)
 			}
 		}
 		switch {
@@ -643,8 +621,8 @@ func (c *Coordinator) RegisterProgram(prog *asm.Program, devCfg core.Config, inp
 	}
 	var id attest.ProgramID
 	for _, nc := range clients {
-		var resp okResp
-		if _, err := c.request(nc, msgRegister, spec, msgOK, &resp, c.cfg.timeouts()); err != nil {
+		resp, err := ask[okResp](c, nc, msgRegister, spec, msgOK)
+		if err != nil {
 			return attest.ProgramID{}, fmt.Errorf("fed: register on %s: %w", nc.id, err)
 		}
 		id = resp.Program
@@ -681,11 +659,9 @@ func (c *Coordinator) Enroll(id fleet.DeviceID, prog attest.ProgramID, pub ed255
 
 	state := freshState(id, meta)
 	for i, nc := range targets {
-		var resp okResp
-		if _, err := c.request(nc, msgEnroll, enrollReq{State: state}, msgOK, &resp, c.cfg.timeouts()); err != nil {
+		if _, err := ask[okResp](c, nc, msgEnroll, enrollReq{State: state}, msgOK); err != nil {
 			for _, prev := range targets[:i] {
-				var st stateResp
-				_, _ = c.request(prev, msgTransfer, deviceReq{Device: id}, msgState, &st, c.cfg.timeouts())
+				_, _ = ask[stateResp](c, prev, msgTransfer, deviceReq{Device: id}, msgState)
 			}
 			return fmt.Errorf("fed: enroll %q on %s: %w", id, owners[i], err)
 		}
@@ -731,8 +707,8 @@ func (c *Coordinator) Device(id fleet.DeviceID) (fleet.DeviceState, NodeID, erro
 	var lastErr error
 	lastOwner := cands[0].id
 	for _, nc := range cands {
-		var st stateResp
-		if _, err := c.request(nc, msgGet, deviceReq{Device: id}, msgState, &st, c.cfg.timeouts()); err != nil {
+		st, err := ask[stateResp](c, nc, msgGet, deviceReq{Device: id}, msgState)
+		if err != nil {
 			lastErr, lastOwner = err, nc.id
 			continue
 		}
@@ -756,8 +732,8 @@ func (c *Coordinator) Release(id fleet.DeviceID) error {
 	applied := false
 	var firstErr error
 	for _, nc := range cands {
-		var st stateResp
-		if _, err := c.request(nc, msgRelease, deviceReq{Device: id}, msgState, &st, c.cfg.timeouts()); err != nil {
+		st, err := ask[stateResp](c, nc, msgRelease, deviceReq{Device: id}, msgState)
+		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -839,8 +815,7 @@ func (c *Coordinator) Sweep(prog attest.ProgramID, input []uint32, streamed bool
 	// Per-sweep node fates. A node that skips (breaker open) or fails
 	// its exchange is dead for the remaining waves: failover reroutes
 	// its devices, it is never retried within this sweep.
-	type gateRes struct{ skip, probe bool }
-	gates := make(map[NodeID]gateRes)
+	gates := make(map[NodeID]struct{ skip, probe bool })
 	dead := make(map[NodeID]bool)
 	folded := make(map[NodeID]NodeReport)
 	next := make(map[fleet.DeviceID]int) // replica cursor per device
@@ -856,10 +831,7 @@ func (c *Coordinator) Sweep(prog attest.ProgramID, input []uint32, streamed bool
 		// replica cursors index stale owner lists — reset them; the dead
 		// map still keeps failed nodes out.
 		c.mu.Lock()
-		clients := make(map[NodeID]*nodeClient, len(c.clients))
-		for id, nc := range c.clients {
-			clients[id] = nc
-		}
+		clients := c.clientsLocked()
 		if c.topoGen != topo {
 			topo = c.topoGen
 			next = make(map[fleet.DeviceID]int)
@@ -873,74 +845,26 @@ func (c *Coordinator) Sweep(prog attest.ProgramID, input []uint32, streamed bool
 		}
 		c.mu.Unlock()
 
-		gate := func(n NodeID, nc *nodeClient) gateRes {
-			if g, ok := gates[n]; ok {
-				return g
+		// Freeze this wave's view of every member; each node's breaker is
+		// consulted once per sweep.
+		nodes := make(map[NodeID]nodeView, len(clients))
+		for n, nc := range clients {
+			g, gated := gates[n]
+			nc.mu.Lock()
+			if !gated {
+				g.skip, g.probe = nc.breaker.Check(gen, c.cfg.BreakerProbeAfter)
+				gates[n] = g
 			}
-			skip, probe := nc.breakerCheck(gen, c.cfg.BreakerProbeAfter)
-			g := gateRes{skip: skip, probe: probe}
-			gates[n] = g
-			if skip {
-				dead[n] = true
-				folded[n] = NodeReport{Node: n, Skipped: true}
-			}
-			return g
+			nodes[n] = nodeView{dead: dead[n], open: g.skip, lame: nc.lame}
+			nc.mu.Unlock()
 		}
-
-		// Group each remaining device onto its first usable replica:
-		// live, not dead this sweep, breaker closed, and not lame — a
-		// lame duck still serves sweeps, so it is the fallback of last
-		// resort before declaring the device uncovered.
-		groups := make(map[NodeID][]fleet.DeviceID)
-		picked := make(map[fleet.DeviceID]int)
-		for _, id := range remaining {
-			own := owners[id]
-			chosen, lameIdx := -1, -1
-			for j := next[id]; j < len(own); j++ {
-				n := own[j]
-				if dead[n] {
-					continue
-				}
-				nc := clients[n]
-				if nc == nil {
-					continue
-				}
-				if gate(n, nc).skip {
-					continue
-				}
-				if nc.isLame() {
-					if lameIdx < 0 {
-						lameIdx = j
-					}
-					continue
-				}
-				chosen = j
-				break
-			}
-			if chosen < 0 {
-				chosen = lameIdx
-			}
-			if chosen < 0 {
-				uncovered = append(uncovered, id)
-				continue
-			}
-			picked[id] = chosen
-			groups[own[chosen]] = append(groups[own[chosen]], id)
+		plan := planWave(remaining, owners, next, nodes, waves == 1)
+		for _, n := range plan.skipped {
+			dead[n] = true
+			folded[n] = NodeReport{Node: n, Skipped: true}
 		}
-		if waves == 1 {
-			// Contact every live member even if it acts for nothing: the
-			// empty exchange is the health probe that keeps NodesOK (and
-			// lame-duck reporting) covering the whole federation.
-			for n, nc := range clients {
-				if dead[n] || gate(n, nc).skip {
-					continue
-				}
-				if _, has := groups[n]; !has {
-					groups[n] = nil
-				}
-			}
-		}
-		if len(groups) == 0 {
+		uncovered = append(uncovered, plan.uncovered...)
+		if len(plan.groups) == 0 {
 			break
 		}
 
@@ -949,9 +873,9 @@ func (c *Coordinator) Sweep(prog attest.ProgramID, input []uint32, streamed bool
 			devs []fleet.DeviceID
 			rep  NodeReport
 		}
-		results := make(chan waveRes, len(groups))
+		results := make(chan waveRes, len(plan.groups))
 		var wg sync.WaitGroup
-		for n, devs := range groups {
+		for n, devs := range plan.groups {
 			wg.Add(1)
 			go func(n NodeID, devs []fleet.DeviceID) {
 				defer wg.Done()
@@ -974,13 +898,13 @@ func (c *Coordinator) Sweep(prog attest.ProgramID, input []uint32, streamed bool
 				// replica in the following wave.
 				dead[res.node] = true
 				for _, id := range res.devs {
-					next[id] = picked[id] + 1
+					next[id] = plan.picked[id] + 1
 					remaining = append(remaining, id)
 				}
 				continue
 			}
 			for _, id := range res.devs {
-				if picked[id] == 0 {
+				if plan.picked[id] == 0 {
 					continue
 				}
 				// Served by a non-primary replica: mid-sweep failover.
@@ -1025,6 +949,80 @@ func (c *Coordinator) Sweep(prog attest.ProgramID, input []uint32, streamed bool
 	return mergeVerdict(prog, input, reports, failedOver, uncovered, waves, time.Since(start)), nil
 }
 
+// nodeView is what the wave planner knows about one member node.
+type nodeView struct {
+	dead bool // skipped or failed earlier in this sweep
+	open bool // breaker open: sits this sweep out
+	lame bool // lame duck: serves sweeps, but only as a last resort
+}
+
+// wavePlan is one wave's placement.
+type wavePlan struct {
+	// groups is the acting device set per node to contact (nil: the
+	// node acts for nothing and gets the empty health-probe exchange).
+	groups map[NodeID][]fleet.DeviceID
+	// picked is the replica index chosen for each placed device.
+	picked map[fleet.DeviceID]int
+	// uncovered lists devices with no usable replica left.
+	uncovered []fleet.DeviceID
+	// skipped lists, sorted, the breaker-open nodes not yet marked dead:
+	// the caller marks them, so each is reported once per sweep.
+	skipped []NodeID
+}
+
+// planWave places each remaining device on its first usable replica at
+// or after its cursor: a member, not dead this sweep, breaker closed,
+// and not lame — a lame duck still serves sweeps, so it is the fallback
+// of last resort before declaring the device uncovered. nodes holds one
+// entry per live member. With probeIdle (wave 1) every usable member is
+// contacted even if it acts for nothing: the empty exchange is the
+// health probe that keeps NodesOK (and lame-duck reporting) covering
+// the whole federation.
+func planWave(remaining []fleet.DeviceID, owners map[fleet.DeviceID][]NodeID, next map[fleet.DeviceID]int, nodes map[NodeID]nodeView, probeIdle bool) wavePlan {
+	p := wavePlan{groups: make(map[NodeID][]fleet.DeviceID), picked: make(map[fleet.DeviceID]int)}
+	for _, id := range remaining {
+		own := owners[id]
+		chosen, lameIdx := -1, -1
+		for j := next[id]; j < len(own); j++ {
+			v, member := nodes[own[j]]
+			if !member || v.dead || v.open {
+				continue
+			}
+			if v.lame {
+				if lameIdx < 0 {
+					lameIdx = j
+				}
+				continue
+			}
+			chosen = j
+			break
+		}
+		if chosen < 0 {
+			chosen = lameIdx
+		}
+		if chosen < 0 {
+			p.uncovered = append(p.uncovered, id)
+			continue
+		}
+		p.picked[id] = chosen
+		p.groups[own[chosen]] = append(p.groups[own[chosen]], id)
+	}
+	for n, v := range nodes {
+		if v.dead {
+			continue
+		}
+		if v.open {
+			p.skipped = append(p.skipped, n)
+			continue
+		}
+		if _, acting := p.groups[n]; probeIdle && !acting {
+			p.groups[n] = nil
+		}
+	}
+	sort.Slice(p.skipped, func(i, j int) bool { return p.skipped[i] < p.skipped[j] })
+	return p
+}
+
 // antiEntropy reconciles replicas after a sweep: every device record a
 // node's waves changed is pushed onto the device's other live replicas,
 // so a standby that takes over at the next failure starts from the
@@ -1033,10 +1031,7 @@ func (c *Coordinator) Sweep(prog attest.ProgramID, input []uint32, streamed bool
 // the records re-surface as drift in the next sweep's delta.
 func (c *Coordinator) antiEntropy(folded map[NodeID]NodeReport, dead map[NodeID]bool) {
 	c.mu.Lock()
-	clients := make(map[NodeID]*nodeClient, len(c.clients))
-	for id, nc := range c.clients {
-		clients[id] = nc
-	}
+	clients := c.clientsLocked()
 	targetsOf := func(id fleet.DeviceID) []NodeID {
 		if _, held := c.devices[id]; !held {
 			return nil
@@ -1077,9 +1072,12 @@ func (c *Coordinator) antiEntropy(folded map[NodeID]NodeReport, dead map[NodeID]
 // evidence against a future member under the same ID.
 func (c *Coordinator) sweepNode(nc *nodeClient, prog attest.ProgramID, input []uint32, streamed bool, gen uint64, probe bool, devs []fleet.DeviceID, wantDelta bool) NodeReport {
 	rep := NodeReport{Node: nc.id, Probe: probe}
-	req := sweepReq{Program: prog, Input: input, Streamed: streamed, Explicit: true, Devices: devs, WantDelta: wantDelta}
+	req := sweepReq{Program: prog, Input: input, Streamed: streamed, Devices: devs, WantDelta: wantDelta}
 	var nodeRep NodeReport
-	attempts, err := c.request(nc, msgSweep, req, msgReport, &nodeRep, c.cfg.sweepTimeouts())
+	// A sweep legitimately takes as long as the node's slowest device
+	// rounds, so its report read gets its own, longer budget.
+	to := attest.Timeouts{Read: c.cfg.SweepTimeout, Write: c.cfg.WriteTimeout}
+	attempts, err := c.request(nc, msgSweep, req, msgReport, &nodeRep, to)
 	rep.Attempts = attempts
 	if err != nil {
 		rep.Err = err.Error()
@@ -1092,7 +1090,10 @@ func (c *Coordinator) sweepNode(nc *nodeClient, prog attest.ProgramID, input []u
 			member := c.clients[nc.id] == nc
 			c.mu.Unlock()
 			if member {
-				if tripped := nc.advanceBreaker(c.cfg.BreakerThreshold, gen); tripped {
+				nc.mu.Lock()
+				tripped := nc.breaker.Fail(c.cfg.BreakerThreshold, gen)
+				nc.mu.Unlock()
+				if tripped {
 					c.metrics.breakerTrips.Inc()
 					c.recordTopology(obs.KindNodeLeave, nc.id, "breaker tripped: "+err.Error())
 				}
@@ -1100,7 +1101,10 @@ func (c *Coordinator) sweepNode(nc *nodeClient, prog attest.ProgramID, input []u
 		}
 		return rep
 	}
-	if reset := nc.recordSuccess(); reset {
+	nc.mu.Lock()
+	reset := nc.breaker.Succeed()
+	nc.mu.Unlock()
+	if reset {
 		c.metrics.breakerResets.Inc()
 	}
 	if flipped := nc.setLame(nodeRep.LameDuck); flipped && c.flight.Enabled() {
@@ -1179,51 +1183,13 @@ func (c *Coordinator) request(nc *nodeClient, reqTyp byte, req any, respTyp byte
 	return c.cfg.RetryAttempts, err
 }
 
-// breakerCheck gates one sweep exchange on the node's breaker.
-func (nc *nodeClient) breakerCheck(gen uint64, probeAfter int) (skip, probe bool) {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	if nc.breaker != fleet.BreakerTripped {
-		return false, false
-	}
-	if gen > nc.breakerGen+uint64(probeAfter) {
-		return false, true
-	}
-	return true, false
-}
-
-// advanceBreaker folds one failed exchange into the node breaker; it
-// reports whether this failure newly tripped it.
-func (nc *nodeClient) advanceBreaker(threshold int, gen uint64) bool {
-	if threshold < 0 {
-		return false
-	}
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	nc.fails++
-	switch {
-	case nc.breaker == fleet.BreakerTripped:
-		nc.breakerGen = gen
-		return false
-	case nc.fails >= threshold:
-		nc.breaker = fleet.BreakerTripped
-		nc.breakerGen = gen
-		return true
-	default:
-		nc.breaker = fleet.BreakerDegraded
-		return false
-	}
-}
-
-// recordSuccess resets the node breaker after a completed exchange; it
-// reports whether an open breaker closed.
-func (nc *nodeClient) recordSuccess() (reset bool) {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	reset = nc.breaker == fleet.BreakerTripped
-	nc.fails = 0
-	nc.breaker = fleet.BreakerHealthy
-	return reset
+// ask runs one non-sweep exchange under the control-plane timeouts and
+// returns the decoded response.
+func ask[R any](c *Coordinator, nc *nodeClient, reqTyp byte, req any, respTyp byte) (R, error) {
+	var resp R
+	to := attest.Timeouts{Read: c.cfg.ReadTimeout, Write: c.cfg.WriteTimeout}
+	_, err := c.request(nc, reqTyp, req, respTyp, &resp, to)
+	return resp, err
 }
 
 // close marks the client dead and severs its connection. It does NOT
@@ -1249,7 +1215,7 @@ func (c *Coordinator) NodeBreaker(id NodeID) (fleet.BreakerState, bool) {
 	}
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	return nc.breaker, true
+	return nc.breaker.State, true
 }
 
 // Close tears down every node connection (the nodes themselves keep

@@ -379,3 +379,59 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestReleaseRuleAgrees pins the one release rule across its three
+// holders: the live registry (fleet.Registry.Release), the
+// node's persisted picture (Node.Release) and WAL replay
+// (State.Apply(recQuarantine)) must describe a released device
+// identically — quarantine lifted, both streaks cleared, breaker closed.
+func TestReleaseRuleAgrees(t *testing.T) {
+	dir := t.TempDir()
+	n, err := NewNode(NodeConfig{ID: "node-0", Dir: dir, Fleet: fleet.Config{Dial: newFabric().dial}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pump := workloads.SyringePump()
+	prog, err := pump.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := n.RegisterProgram(prog, core.Config{}, [][]uint32{pump.Input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = fleet.DeviceID("pump-0")
+	if err := n.Enroll(fleet.DeviceState{
+		ID: id, Addr: "mem://pump-0", Program: pid, Pub: make([]byte, 32),
+		Quarantined: true, ConsecutiveRejects: 2, Rounds: 9, Rejected: 2, TransportErrors: 3,
+		Breaker: fleet.BreakerTripped, ConsecutiveTransportFails: 3, BreakerGen: 5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if found, err := n.Release(id); err != nil || !found {
+		t.Fatalf("release: found=%v err=%v", found, err)
+	}
+
+	st, ok := n.Service().Device(id)
+	if !ok {
+		t.Fatal("device gone after release")
+	}
+	live := RecordFromState(st)
+	if live.Quarantined || live.ConsecutiveRejects != 0 || live.TransportFails != 0 || live.Breaker != fleet.BreakerHealthy {
+		t.Fatalf("registry did not release the device: %+v", live)
+	}
+	if got := n.MaterializedState().Devices[id]; got != live {
+		t.Errorf("node's persisted picture\n got %+v\nwant %+v", got, live)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, replayed, err := OpenStore(dir, "node-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if got := replayed.Devices[id]; got != live {
+		t.Errorf("WAL replay\n got %+v\nwant %+v", got, live)
+	}
+}

@@ -55,14 +55,12 @@ type sweepReq struct {
 	Program  attest.ProgramID
 	Input    []uint32
 	Streamed bool
-	// Explicit selects placement-directed sweeps: the node challenges
-	// exactly the Devices listed (the coordinator's acting set for this
-	// node this generation) instead of every member it holds. Standby
-	// replicas therefore keep warm state without double-challenging the
-	// prover. Explicit is a separate flag because gob cannot tell an
-	// empty Devices list from an absent one.
-	Explicit bool
-	Devices  []fleet.DeviceID
+	// Devices is the coordinator's acting set for this node this
+	// generation: the node challenges exactly these, never every member
+	// it holds, so standby replicas keep warm state without
+	// double-challenging the prover. An empty list (which gob delivers
+	// as nil) is the health probe: warm the cache, challenge nothing.
+	Devices []fleet.DeviceID
 	// WantDelta asks the node to return the device records its sweep
 	// changed, feeding the coordinator's anti-entropy pass. Off for
 	// unreplicated federations to keep reports small.

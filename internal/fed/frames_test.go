@@ -20,7 +20,6 @@ func TestPayloadRoundTrip(t *testing.T) {
 		{
 			name: "sweepReq",
 			in: &sweepReq{
-				Explicit:  true,
 				Devices:   []fleet.DeviceID{"pump-1", "pump-2"},
 				WantDelta: true,
 			},

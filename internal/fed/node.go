@@ -241,41 +241,29 @@ func (n *Node) Release(id fleet.DeviceID) (bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if rec, ok := n.persisted[id]; ok {
-		rec.Quarantined = false
-		rec.ConsecutiveRejects = 0
-		rec.TransportFails = 0
-		rec.Breaker = fleet.BreakerHealthy
+		rec.setQuarantined(false)
 		n.persisted[id] = rec
 	}
 	return true, n.appendLocked(WALRecord{Kind: recQuarantine, ID: id, On: false})
 }
 
-// Sweep runs one program sweep on the node's fleet and persists the
-// diff: every device whose persistable record changed, every cache key
-// newly warmed, and the advanced sweep generation. It delegates to
-// sweepEx with no device filter.
-func (n *Node) Sweep(prog attest.ProgramID, input []uint32, streamed bool) (fleet.SweepReport, error) {
-	rep, _, err := n.sweepEx(prog, input, streamed, false, nil)
-	return rep, err
-}
-
-// sweepEx is the full-width sweep entry point: explicit selects a
-// placement-directed sweep over exactly devices, and the returned
-// changed slice (sorted by ID) lists every device record the round
-// moved — the coordinator's anti-entropy feed. A persistence failure
-// does not fail the sweep: the verdict was already computed, so the
-// node records the store failure (eventually going lame) and serves
-// the report regardless — losing durability must not lose coverage.
-func (n *Node) sweepEx(prog attest.ProgramID, input []uint32, streamed bool, explicit bool, devices []fleet.DeviceID) (fleet.SweepReport, []DeviceRecord, error) {
-	var rep fleet.SweepReport
-	var err error
-	if explicit {
-		rep, err = n.svc.SweepProgramDevices(prog, input, streamed, devices)
-	} else if streamed {
-		rep, err = n.svc.SweepProgramStreamed(prog, input)
-	} else {
-		rep, err = n.svc.SweepProgram(prog, input)
+// sweep runs one placement-directed program sweep over exactly devices
+// on the node's fleet and persists the diff: every device whose
+// persistable record changed, every cache key newly warmed, and the
+// advanced sweep generation. The returned changed slice (sorted by ID)
+// lists every device record the round moved — the coordinator's
+// anti-entropy feed. A persistence failure does not fail the sweep: the
+// verdict was already computed, so the node records the store failure
+// (eventually going lame) and serves the report regardless — losing
+// durability must not lose coverage.
+func (n *Node) sweep(req sweepReq) (fleet.SweepReport, []DeviceRecord, error) {
+	devices := req.Devices
+	if devices == nil {
+		// gob flattens an empty list to nil, and nil means every member
+		// to the fleet: a node acting for nothing must challenge nothing.
+		devices = []fleet.DeviceID{}
 	}
+	rep, err := n.svc.RunSweep(fleet.SweepRequest{Program: req.Program, Input: req.Input, Streamed: req.Streamed, Devices: devices})
 	if err != nil {
 		return rep, nil, err
 	}
@@ -594,7 +582,7 @@ func (n *Node) handleOne(conn io.ReadWriter) error {
 		if err := decodePayload(body, &req); err != nil {
 			return writeErr(conn, err)
 		}
-		rep, changed, err := n.sweepEx(req.Program, req.Input, req.Streamed, req.Explicit, req.Devices)
+		rep, changed, err := n.sweep(req)
 		if err != nil {
 			return writeErr(conn, err)
 		}

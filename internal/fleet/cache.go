@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lofat/internal/attest"
 	"lofat/internal/core"
 )
 
@@ -51,16 +50,6 @@ func (c *MeasurementCache) PutExpectation(key string, m *core.Measurement) {
 	c.mu.Lock()
 	c.entries[key] = m
 	c.mu.Unlock()
-}
-
-// Warm precomputes the golden measurements for a set of inputs through
-// a verifier already wired to this cache (RegisterProgram does the
-// wiring) — attest.Precompute layered fleet-wide. Sweeps call this with
-// the round's input before fanning out to the worker pool, so
-// concurrent workers never race to simulate the same golden run.
-func (c *MeasurementCache) Warm(v *attest.Verifier, inputs [][]uint32) error {
-	_, err := v.Precompute(inputs)
-	return err
 }
 
 // Hits reports shared-cache lookups that avoided a golden run.

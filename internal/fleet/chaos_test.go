@@ -634,7 +634,9 @@ func TestVerifierLocalErrorsDoNotTripBreakers(t *testing.T) {
 	// plain exchange completes but Verify cannot compute the golden
 	// comparison (Result.VerifierFault).
 	sweepers := []func() (fleet.SweepReport, error){
-		func() (fleet.SweepReport, error) { return svc.SweepProgramStreamed(pid, pump.Input) },
+		func() (fleet.SweepReport, error) {
+			return svc.RunSweep(fleet.SweepRequest{Program: pid, Input: pump.Input, Streamed: true})
+		},
 		func() (fleet.SweepReport, error) { return svc.SweepProgram(pid, pump.Input) },
 	}
 	for i := 0; i < 4; i++ {

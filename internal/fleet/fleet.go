@@ -30,7 +30,7 @@
 //     fault-injection harness that chaos-tests this layer.
 //
 // The design follows the C-FLAT lineage's precomputed-measurement
-// deployment mode (attest.MeasurementDB): for fleets of identical
+// deployment mode (attest.Verifier.Precompute): for fleets of identical
 // embedded devices the verifier's expensive step — golden-running S(i)
 // — amortizes across every enrolled device.
 package fleet
@@ -188,19 +188,6 @@ func (c *Config) fill() {
 	}
 }
 
-// timeouts are the per-phase exchange deadlines selected by the config
-// (negative fields disable the corresponding deadline).
-func (c *Config) timeouts() attest.Timeouts {
-	to := attest.Timeouts{Read: c.ReadTimeout, Write: c.WriteTimeout}
-	if to.Read < 0 {
-		to.Read = 0
-	}
-	if to.Write < 0 {
-		to.Write = 0
-	}
-	return to
-}
-
 // backoff is the pre-attempt delay before retry number retry (1-based):
 // exponential, uniformly jittered to ±50% of the nominal value, and
 // never above RetryBackoffMax.
@@ -272,8 +259,7 @@ func NewService(cfg Config) *Service {
 				//lofat:ignore locked the pred runs inside count, which holds each shard's read lock around it
 				func() int64 { return int64(s.reg.count(func(d *device) bool { return d.quarantined })) })
 			reg.RegisterGaugeFunc("lofat_fleet_tripped", "", "Devices with a tripped transport breaker.",
-				//lofat:ignore locked the pred runs inside count, which holds each shard's read lock around it
-				func() int64 { return int64(s.reg.count(func(d *device) bool { return d.breaker == BreakerTripped })) })
+				func() int64 { return int64(s.reg.count((*device).tripped)) })
 			reg.RegisterGaugeFunc("lofat_fleet_queue_depth", "", "Verification jobs waiting in the pipeline queue.",
 				func() int64 { return int64(len(s.jobs)) })
 		}
@@ -344,19 +330,7 @@ func (s *Service) RegisterProgram(prog *asm.Program, devCfg core.Config, inputs 
 // derived from the program template, sharing the offline analysis and
 // the measurement cache but holding independent nonce state.
 func (s *Service) Enroll(id DeviceID, prog attest.ProgramID, pub ed25519.PublicKey, addr string) error {
-	s.mu.RLock()
-	p, ok := s.programs[prog]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("fleet: program %v not registered", prog)
-	}
-	return s.reg.add(&device{
-		id:       id,
-		addr:     addr,
-		program:  prog,
-		pub:      append(ed25519.PublicKey(nil), pub...),
-		verifier: p.template.ForKey(pub),
-	})
+	return s.EnrollState(DeviceState{ID: id, Addr: addr, Program: prog, Pub: pub})
 }
 
 // EnrollState enrols a device restoring a previously snapshotted record
@@ -391,9 +365,7 @@ func (s *Service) EnrollState(st DeviceState) error {
 		lastError:          st.LastError,
 		lastAttested:       st.LastAttested,
 
-		breaker:        st.Breaker,
-		transportFails: st.ConsecutiveTransportFails,
-		breakerGen:     st.BreakerGen,
+		breaker: st.breaker(),
 	})
 }
 
@@ -469,7 +441,7 @@ func (s *Service) Tripped() []DeviceID { return s.reg.Tripped() }
 // pick up breaker or quarantine history from before the operator
 // intervened.
 func (s *Service) Release(id DeviceID) bool {
-	ok := s.reg.SetQuarantined(id, false)
+	ok := s.reg.Release(id)
 	if ok {
 		s.flight.DropDevice(string(id))
 	}

@@ -677,10 +677,10 @@ func TestReleaseDrainsFlightHistory(t *testing.T) {
 	}
 }
 
-// TestSweepProgramDevicesSubset pins the federated placement primitive:
+// TestSweepDevicesSubset pins the federated placement primitive:
 // only the named devices are challenged, the rest of the program's
 // members sit the round out untouched.
-func TestSweepProgramDevicesSubset(t *testing.T) {
+func TestSweepDevicesSubset(t *testing.T) {
 	f := newFabric()
 	svc := newService(f, fleet.Config{})
 	defer svc.Close()
@@ -704,7 +704,7 @@ func TestSweepProgramDevicesSubset(t *testing.T) {
 	}
 
 	subset := []fleet.DeviceID{devs[0].id, devs[2].id, "no-such-device"}
-	rep, err := svc.SweepProgramDevices(pid, pump.Input, false, subset)
+	rep, err := svc.RunSweep(fleet.SweepRequest{Program: pid, Input: pump.Input, Devices: subset})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +726,7 @@ func TestSweepProgramDevicesSubset(t *testing.T) {
 	}
 
 	// The empty subset is a no-op round, not an error.
-	rep, err = svc.SweepProgramDevices(pid, pump.Input, false, nil)
+	rep, err = svc.RunSweep(fleet.SweepRequest{Program: pid, Input: pump.Input, Devices: []fleet.DeviceID{}})
 	if err != nil || rep.Devices != 0 {
 		t.Fatalf("empty subset: devices=%d err=%v", rep.Devices, err)
 	}

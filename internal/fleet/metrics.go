@@ -294,8 +294,7 @@ func (s *Service) Metrics() MetricsSnapshot {
 		Devices: s.reg.Len(),
 		//lofat:ignore locked the pred runs inside count, which holds each shard's read lock around it
 		Quarantined: s.reg.count(func(d *device) bool { return d.quarantined }),
-		//lofat:ignore locked the pred runs inside count, which holds each shard's read lock around it
-		Tripped: s.reg.count(func(d *device) bool { return d.breaker == BreakerTripped }),
+		Tripped:     s.reg.count((*device).tripped),
 	}
 	for c := 0; c < numClasses; c++ {
 		if n := m.byClass[c].Load(); n > 0 {

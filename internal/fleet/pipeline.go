@@ -236,7 +236,7 @@ func (s *Service) exchange(d *device, r Round, out *Outcome, sc obs.Scope) error
 		return &DialError{Addr: d.addr, Err: err}
 	}
 	defer conn.Close()
-	to := s.cfg.timeouts()
+	to := attest.Timeouts{Read: s.cfg.ReadTimeout, Write: s.cfg.WriteTimeout}
 	if r.Streamed {
 		sv := stream.NewVerifier(d.verifier, stream.Config{
 			SegmentEvents: s.cfg.StreamSegmentEvents,
@@ -244,7 +244,7 @@ func (s *Service) exchange(d *device, r Round, out *Outcome, sc obs.Scope) error
 			SegmentHist:   &s.metrics.segmentVerify,
 		})
 		xsp := sc.Start("exchange", "stream")
-		sres, err := stream.RequestStreamTimeout(conn, sv, r.Input, to)
+		sres, err := stream.RequestStream(conn, sv, r.Input, to)
 		xsp.End()
 		if err != nil {
 			return err
@@ -267,7 +267,7 @@ func (s *Service) exchange(d *device, r Round, out *Outcome, sc obs.Scope) error
 		s.recordVerified(d, sres.Result, r, out)
 		return nil
 	}
-	res, err := attest.RequestFromScoped(conn, d.verifier, r.Input, to, sc)
+	res, err := attest.RequestAttestation(conn, d.verifier, r.Input, to, sc)
 	if err != nil {
 		return err
 	}

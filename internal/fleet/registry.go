@@ -50,6 +50,59 @@ func (b BreakerState) String() string {
 	}
 }
 
+// Breaker is the transport circuit-breaker state machine (see
+// BreakerState), shared by the per-device breakers here and the
+// federation's per-node breakers. It carries no lock: the owner guards
+// it with whatever guards the record it lives in.
+type Breaker struct {
+	State BreakerState
+	Fails int    // consecutive failed exchanges (all attempts exhausted)
+	Gen   uint64 // sweep generation of the trip or last failed probe
+}
+
+// Check gates one exchange at sweep generation gen: skip says it must
+// not run (breaker open), probe that it runs as the half-open probe a
+// tripped breaker gets after sitting out probeAfter sweeps.
+func (b *Breaker) Check(gen uint64, probeAfter int) (skip, probe bool) {
+	if b.State != BreakerTripped {
+		return false, false
+	}
+	probe = gen > b.Gen+uint64(probeAfter)
+	return !probe, probe
+}
+
+// Fail folds one transport-level failure in and reports whether it
+// newly tripped the breaker (never, with a negative threshold). A failed
+// half-open probe re-arms the sit-out window from gen.
+func (b *Breaker) Fail(threshold int, gen uint64) (tripped bool) {
+	if threshold < 0 {
+		return false
+	}
+	b.Fails++
+	switch {
+	case b.State == BreakerTripped:
+		b.Gen = gen
+	case b.Fails >= threshold:
+		b.State, b.Gen = BreakerTripped, gen
+		return true
+	default:
+		b.State = BreakerDegraded
+	}
+	return false
+}
+
+// Succeed folds one completed exchange in and reports whether an open
+// breaker closed.
+func (b *Breaker) Succeed() (closed bool) {
+	closed = b.State == BreakerTripped
+	b.Reset()
+	return closed
+}
+
+// Reset clears the failure streak and closes the breaker (operator
+// release). Gen only matters while tripped and is left alone.
+func (b *Breaker) Reset() { b.State, b.Fails = BreakerHealthy, 0 }
+
 // device is the registry's record of one enrolled prover. Mutable
 // fields are guarded by the owning shard's lock.
 type device struct {
@@ -81,15 +134,7 @@ type device struct {
 	lastAttested time.Time
 
 	//lofat:guardedby mu
-	breaker BreakerState
-	// transportFails counts consecutive failed rounds (all attempts
-	// exhausted).
-	//lofat:guardedby mu
-	transportFails int
-	// breakerGen is the sweep generation of the trip or last failed
-	// probe.
-	//lofat:guardedby mu
-	breakerGen uint64
+	breaker Breaker
 }
 
 // DeviceState is an exported point-in-time snapshot of a device record.
@@ -141,10 +186,21 @@ func (d *device) snapshot() DeviceState {
 		LastError:          d.lastError,
 		LastAttested:       d.lastAttested,
 
-		Breaker:                   d.breaker,
-		ConsecutiveTransportFails: d.transportFails,
-		BreakerGen:                d.breakerGen,
+		Breaker:                   d.breaker.State,
+		ConsecutiveTransportFails: d.breaker.Fails,
+		BreakerGen:                d.breaker.Gen,
 	}
+}
+
+// tripped is the ids/count predicate for an open breaker; both run it
+// under the shard's read lock.
+//
+//lofat:locked mu
+func (d *device) tripped() bool { return d.breaker.State == BreakerTripped }
+
+// breaker reassembles the snapshot's breaker fields.
+func (st DeviceState) breaker() Breaker {
+	return Breaker{State: st.Breaker, Fails: st.ConsecutiveTransportFails, Gen: st.BreakerGen}
 }
 
 // Registry is the sharded device store: N independently locked shards
@@ -287,14 +343,14 @@ func (r *Registry) Quarantined() []DeviceID {
 	return r.ids(func(d *device) bool { return d.quarantined })
 }
 
-// SetQuarantined forces a device's quarantine flag (operator action).
-// Releasing restores the device to full service: the rejection streak,
-// the transport-failure streak and an open circuit breaker are all
-// cleared — an operator re-provisioning a device fixes its transport
-// along with its firmware, and this is also the recovery path for
-// breakers tripped outside sweeps (direct Submit rounds never fire
-// half-open probes). It reports whether the device exists.
-func (r *Registry) SetQuarantined(id DeviceID, q bool) bool {
+// Release lifts a device's quarantine (operator action) and restores it
+// to full service: the rejection streak, the transport-failure streak
+// and an open circuit breaker are all cleared — an operator
+// re-provisioning a device fixes its transport along with its firmware,
+// and this is also the recovery path for breakers tripped outside
+// sweeps (direct Submit rounds never fire half-open probes). It reports
+// whether the device exists.
+func (r *Registry) Release(id DeviceID) bool {
 	sh := r.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -302,12 +358,9 @@ func (r *Registry) SetQuarantined(id DeviceID, q bool) bool {
 	if !ok {
 		return false
 	}
-	d.quarantined = q
-	if !q {
-		d.consecutiveRejects = 0
-		d.transportFails = 0
-		d.breaker = BreakerHealthy
-	}
+	d.quarantined = false
+	d.consecutiveRejects = 0
+	d.breaker.Reset()
 	return true
 }
 
@@ -333,9 +386,7 @@ func (r *Registry) sync(st DeviceState) bool {
 	d.rejected = st.Rejected
 	d.transportErrors = st.TransportErrors
 	d.lastClass = st.LastClass
-	d.breaker = st.Breaker
-	d.transportFails = st.ConsecutiveTransportFails
-	d.breakerGen = st.BreakerGen
+	d.breaker = st.breaker()
 	return true
 }
 
@@ -366,32 +417,6 @@ func (r *Registry) membersOf(prog attest.ProgramID) []*device {
 // quarantine the whole fleet.
 func authenticatedReject(res attest.Result) bool {
 	return res.Class != attest.ClassSignature && res.Class != attest.ClassProtocol
-}
-
-// advanceBreaker folds one transport-level failure into the breaker
-// (caller holds the shard write lock); it reports whether this failure
-// newly tripped it. gen is the sweep generation of the round (0 outside
-// sweeps); a failed half-open probe re-arms the sit-out window from it.
-//
-//lofat:locked mu
-func (d *device) advanceBreaker(threshold int, gen uint64) bool {
-	if threshold < 0 {
-		return false // breaker disabled
-	}
-	d.transportFails++
-	switch {
-	case d.breaker == BreakerTripped:
-		// Failed half-open probe: sit out again from this sweep.
-		d.breakerGen = gen
-		return false
-	case d.transportFails >= threshold:
-		d.breaker = BreakerTripped
-		d.breakerGen = gen
-		return true
-	default:
-		d.breaker = BreakerDegraded
-		return false
-	}
 }
 
 // resultOutcome is the registry bookkeeping of one completed exchange.
@@ -425,13 +450,11 @@ func (r *Registry) recordResult(id DeviceID, res attest.Result, quarantineAfter,
 		// Accepted/Rejected counters track authenticated verdicts only.
 		d.transportErrors++
 		d.lastError = fmt.Sprintf("unauthenticated report (%v)", res.Class)
-		out.Tripped = d.advanceBreaker(breakerThreshold, gen)
+		out.Tripped = d.breaker.Fail(breakerThreshold, gen)
 		return out
 	}
 	d.lastError = ""
-	d.transportFails = 0
-	out.BreakerClosed = d.breaker == BreakerTripped
-	d.breaker = BreakerHealthy
+	out.BreakerClosed = d.breaker.Succeed()
 	if res.Accepted {
 		d.accepted++
 		d.consecutiveRejects = 0
@@ -461,7 +484,7 @@ func (r *Registry) recordError(id DeviceID, err error, threshold int, gen uint64
 	}
 	d.transportErrors++
 	d.lastError = err.Error()
-	return d.advanceBreaker(threshold, gen)
+	return d.breaker.Fail(threshold, gen)
 }
 
 // breakerCheck gates one round on the device's breaker: skip reports
@@ -473,17 +496,13 @@ func (r *Registry) breakerCheck(id DeviceID, gen uint64, probeAfter int) (skip, 
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	d, ok := sh.devices[id]
-	if !ok || d.breaker != BreakerTripped {
+	if !ok {
 		return false, false
 	}
-	if gen > d.breakerGen+uint64(probeAfter) {
-		return false, true
-	}
-	return true, false
+	return d.breaker.Check(gen, probeAfter)
 }
 
 // Tripped lists devices whose transport breaker is tripped, sorted.
 func (r *Registry) Tripped() []DeviceID {
-	//lofat:ignore locked the pred runs inside ids, which holds each shard's read lock around it
-	return r.ids(func(d *device) bool { return d.breaker == BreakerTripped })
+	return r.ids((*device).tripped)
 }

@@ -140,7 +140,7 @@ func (s *Service) Sweep() ([]SweepReport, error) {
 		wg.Add(1)
 		go func(i int, id attest.ProgramID, input []uint32) {
 			defer wg.Done()
-			all[i], errs[i] = s.sweepProgram(id, input, s.cfg.StreamedSweeps, gen)
+			all[i], errs[i] = s.RunSweep(SweepRequest{Program: id, Input: input, Streamed: s.cfg.StreamedSweeps, gen: gen})
 		}(i, pk.id, pk.input)
 	}
 	wg.Wait()
@@ -161,36 +161,30 @@ func (s *Service) Sweep() ([]SweepReport, error) {
 }
 
 // SweepProgram challenges every non-quarantined device enrolled for one
-// program with the given input. When the measurement cache is enabled
-// the golden run is precomputed once up front (through the program's
-// template verifier), so the fan-out below never simulates: every
-// worker-pool verification is a cache hit.
+// program with the given input.
 func (s *Service) SweepProgram(prog attest.ProgramID, input []uint32) (SweepReport, error) {
-	return s.sweepProgram(prog, input, false, s.sweepGen.Add(1))
+	return s.RunSweep(SweepRequest{Program: prog, Input: input})
 }
 
-// SweepProgramDevices is SweepProgram restricted to an explicit device
-// subset — the federated placement primitive: a coordinator that has
-// replicated a device onto several nodes names, per sweep, exactly
-// which devices each node acts for, so standby replicas hold the state
-// without double-challenging the prover. Devices in ids that are not
-// enrolled for prog are ignored; an empty subset performs the cache
-// warm-up and returns an empty report.
-func (s *Service) SweepProgramDevices(prog attest.ProgramID, input []uint32, streamed bool, ids []DeviceID) (SweepReport, error) {
-	only := make(map[DeviceID]bool, len(ids))
-	for _, id := range ids {
-		only[id] = true
-	}
-	return s.sweepProgramFiltered(prog, input, streamed, s.sweepGen.Add(1), only)
-}
+// SweepRequest names one program sweep.
+type SweepRequest struct {
+	Program attest.ProgramID
+	Input   []uint32
+	// Streamed drives the sweep over the segmented streaming protocol:
+	// devices are verified incrementally as they execute and rejected —
+	// and quarantined — at their first divergent segment. They must
+	// serve the stream protocol on their enrolled address.
+	Streamed bool
+	// Devices restricts the sweep to a subset — the federated placement
+	// primitive: a coordinator names exactly which devices each node
+	// acts for, so standby replicas hold state without double-challenging
+	// the prover. Nil sweeps every member; devices not enrolled for
+	// Program are ignored; an empty non-nil subset only warms the cache.
+	Devices []DeviceID
 
-// SweepProgramStreamed is SweepProgram over the segmented streaming
-// protocol: every device is verified incrementally as it executes, and
-// an attacked or long-running device is rejected — and quarantined —
-// at its first divergent segment instead of after end-of-run. The
-// devices must serve the stream protocol on their enrolled address.
-func (s *Service) SweepProgramStreamed(prog attest.ProgramID, input []uint32) (SweepReport, error) {
-	return s.sweepProgram(prog, input, true, s.sweepGen.Add(1))
+	// gen is set by Sweep so every program of one fleet sweep shares a
+	// generation; zero draws the next one.
+	gen uint64
 }
 
 // sweepFail records a program-sweep failure in the flight recorder; the
@@ -203,13 +197,15 @@ func (s *Service) sweepFail(prog attest.ProgramID, gen uint64, err error) {
 	}
 }
 
-func (s *Service) sweepProgram(prog attest.ProgramID, input []uint32, streamed bool, gen uint64) (SweepReport, error) {
-	return s.sweepProgramFiltered(prog, input, streamed, gen, nil)
-}
-
-// sweepProgramFiltered is sweepProgram with an optional device filter
-// (nil sweeps every member; non-nil sweeps exactly the listed members).
-func (s *Service) sweepProgramFiltered(prog attest.ProgramID, input []uint32, streamed bool, gen uint64, only map[DeviceID]bool) (SweepReport, error) {
+// RunSweep runs one program sweep. When the measurement cache is enabled
+// the golden run is precomputed once up front (through the program's
+// template verifier), so the fan-out below never simulates: every
+// worker-pool verification is a cache hit.
+func (s *Service) RunSweep(req SweepRequest) (SweepReport, error) {
+	prog, input, streamed, gen := req.Program, req.Input, req.Streamed, req.gen
+	if gen == 0 {
+		gen = s.sweepGen.Add(1)
+	}
 	s.mu.RLock()
 	p, ok := s.programs[prog]
 	closed := s.closed
@@ -255,7 +251,7 @@ func (s *Service) sweepProgramFiltered(prog attest.ProgramID, input []uint32, st
 				s.sweepFail(prog, gen, err)
 				return rep, err
 			}
-		} else if err := s.cache.Warm(p.template, [][]uint32{input}); err != nil {
+		} else if err := p.template.Precompute([][]uint32{input}); err != nil {
 			wsp.End()
 			err = fmt.Errorf("fleet: warm cache: %w", err)
 			s.sweepFail(prog, gen, err)
@@ -265,7 +261,11 @@ func (s *Service) sweepProgramFiltered(prog attest.ProgramID, input []uint32, st
 	}
 
 	members := s.reg.membersOf(prog)
-	if only != nil {
+	if req.Devices != nil {
+		only := make(map[DeviceID]bool, len(req.Devices))
+		for _, id := range req.Devices {
+			only[id] = true
+		}
 		kept := members[:0]
 		for _, d := range members {
 			if only[d.id] {

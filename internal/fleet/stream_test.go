@@ -141,7 +141,7 @@ func TestFleetStreamedSweep(t *testing.T) {
 	}
 
 	// Streamed sweep over the rest of the fleet.
-	rep, err := svc.SweepProgramStreamed(pumpID, pump.Input)
+	rep, err := svc.RunSweep(fleet.SweepRequest{Program: pumpID, Input: pump.Input, Streamed: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func TestStreamOverTransport(t *testing.T) {
 		client, server := net.Pipe()
 		done := make(chan error, 1)
 		go func() { done <- reg.ServeConn(server) }()
-		res, err := stream.RequestStream(client, v, w.Input)
+		res, err := stream.RequestStream(client, v, w.Input, attest.Timeouts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestStreamOverTransport(t *testing.T) {
 		client, server := net.Pipe()
 		done := make(chan error, 1)
 		go func() { done <- r2.ServeConn(server) }()
-		res, err := stream.RequestStream(client, av, atk.Workload.Input)
+		res, err := stream.RequestStream(client, av, atk.Workload.Input, attest.Timeouts{})
 		if err != nil {
 			t.Fatal(err)
 		}

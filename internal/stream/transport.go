@@ -109,19 +109,15 @@ func NewServer(r *Registry) *attest.Server {
 // should then drop the connection so the prover's next segment write
 // fails and the run stops — or verify the close report. Transport
 // failures retire the session nonce, mirroring attest.RequestAttestation.
-func RequestStream(conn io.ReadWriter, v *Verifier, input []uint32) (Result, error) {
-	return RequestStreamTimeout(conn, v, input, attest.Timeouts{})
-}
-
-// RequestStreamTimeout is RequestStream with per-phase I/O deadlines:
-// the open write and every segment read arm their own deadline when the
-// conn supports them (attest.DeadlineConn). The read deadline bounds
-// the gap between consecutive segments, so a prover that opens a
+//
+// The open write and every segment read arm their own deadline from to
+// when the conn supports them (attest.DeadlineConn). The read deadline
+// bounds the gap between consecutive segments, so a prover that opens a
 // session and then stalls — mid-frame or between checkpoints — fails
 // the round with a timeout instead of wedging the verifier for as long
 // as the device pretends to run. Deadlines armed here are cleared
-// before returning.
-func RequestStreamTimeout(conn io.ReadWriter, v *Verifier, input []uint32, to attest.Timeouts) (Result, error) {
+// before returning; the zero Timeouts mean no deadline.
+func RequestStream(conn io.ReadWriter, v *Verifier, input []uint32, to attest.Timeouts) (Result, error) {
 	s, open, err := v.Open(input)
 	if err != nil {
 		// Session creation failed verifier-side (golden run, cache,
