@@ -21,7 +21,6 @@ import (
 	"os"
 	"strings"
 
-	"lofat"
 	"lofat/internal/attest"
 	"lofat/internal/hashengine"
 	"lofat/internal/obs"
@@ -96,20 +95,6 @@ func (d *drbg) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// deviceConfig builds the device configuration a workload expects:
-// paper defaults, plus the workload's interrupt schedule when it is
-// interrupt-driven (pump-isr). Prover and verifier must derive it the
-// same way or the expected measurement diverges.
-func deviceConfig(w workloads.Workload, prog *lofat.Program) (lofat.DeviceConfig, error) {
-	var cfg lofat.DeviceConfig
-	sched, err := w.Schedule(prog)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.IRQ = sched
-	return cfg, nil
-}
-
 func provision(seed int64) io.Reader {
 	if seed == 0 {
 		return rand.Reader
@@ -149,7 +134,7 @@ func runServer(addr string, seed int64, attackName string) error {
 		if err != nil {
 			return err
 		}
-		devCfg, err := deviceConfig(w, prog)
+		devCfg, err := w.DeviceConfig(prog)
 		if err != nil {
 			return err
 		}
@@ -186,7 +171,7 @@ func runClient(addr string, seed int64, workload string, rounds int) error {
 	if err != nil {
 		return err
 	}
-	devCfg, err := deviceConfig(w, prog)
+	devCfg, err := w.DeviceConfig(prog)
 	if err != nil {
 		return err
 	}
@@ -244,7 +229,7 @@ func runDemo(workload, attackName string, rounds int) error {
 	if err != nil {
 		return err
 	}
-	devCfg, err := deviceConfig(w, prog)
+	devCfg, err := w.DeviceConfig(prog)
 	if err != nil {
 		return err
 	}

@@ -26,23 +26,29 @@ type fleetShape struct {
 	attack, workload                     string
 }
 
-// resolve looks the names up, bounds the role counts by the fleet size
-// and assembles the shared firmware.
-func (s *fleetShape) resolve() (workloads.Workload, workloads.Attack, *asm.Program, error) {
+// resolve looks the names up, bounds the role counts by the fleet size,
+// assembles the shared firmware and derives the device configuration
+// its provers and its verifier both run under.
+func (s *fleetShape) resolve() (workloads.Workload, workloads.Attack, *asm.Program, core.Config, error) {
+	var none core.Config
 	w, ok := workloads.ByName(s.workload)
 	if !ok {
-		return w, workloads.Attack{}, nil, fmt.Errorf("unknown workload %q", s.workload)
+		return w, workloads.Attack{}, nil, none, fmt.Errorf("unknown workload %q", s.workload)
 	}
 	atk, ok := workloads.AttackByName(s.attack)
 	if !ok {
-		return w, atk, nil, fmt.Errorf("unknown attack %q", s.attack)
+		return w, atk, nil, none, fmt.Errorf("unknown attack %q", s.attack)
 	}
 	s.attacked = min(s.attacked, s.devices)
 	if n := s.attacked + s.stalled + s.dropping; n > s.devices {
-		return w, atk, nil, fmt.Errorf("attacked+stalled+dropping (%d) exceeds -devices (%d)", n, s.devices)
+		return w, atk, nil, none, fmt.Errorf("attacked+stalled+dropping (%d) exceeds -devices (%d)", n, s.devices)
 	}
 	prog, err := w.Assemble()
-	return w, atk, prog, err
+	if err != nil {
+		return w, atk, nil, none, err
+	}
+	devCfg, err := w.DeviceConfig(prog)
+	return w, atk, prog, devCfg, err
 }
 
 // simDevices is the running fleet: one attest.Server per device on a
@@ -72,14 +78,14 @@ func (d *simDevices) dialer(timeout time.Duration) fleet.DialFunc {
 // "manufacture", and hands every one to enroll (a Service's or a
 // Coordinator's Enroll). Servers started before an error stay in d for
 // close.
-func (d *simDevices) spawn(s fleetShape, prog *asm.Program, atk workloads.Attack, idle time.Duration, progID attest.ProgramID,
+func (d *simDevices) spawn(s fleetShape, prog *asm.Program, devCfg core.Config, atk workloads.Attack, idle time.Duration, progID attest.ProgramID,
 	enroll func(fleet.DeviceID, attest.ProgramID, ed25519.PublicKey, string) error) error {
 	for i := 0; i < s.devices; i++ {
 		keys, err := sig.GenerateKeyStore(rand.Reader)
 		if err != nil {
 			return err
 		}
-		p := attest.NewProver(prog, core.Config{}, keys)
+		p := attest.NewProver(prog, devCfg, keys)
 		if i < s.attacked {
 			p.Adversary = atk.Build(prog)
 		}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"lofat/internal/core"
 	"lofat/internal/fed"
 	"lofat/internal/fed/faultfs"
 	"lofat/internal/fleet"
@@ -87,7 +86,7 @@ func (h *nodeHandle) close() {
 // verifier nodes behind one coordinator, with optional persistent
 // registries and kill/rejoin or join/rebalance chaos.
 func runFederated(shape fleetShape, sweeps int, cfg fleet.Config, fc fedConfig, o obsConfig) error {
-	w, atk, prog, err := shape.resolve()
+	w, atk, prog, devCfg, err := shape.resolve()
 	if err != nil {
 		return err
 	}
@@ -167,7 +166,7 @@ func runFederated(shape fleetShape, sweeps int, cfg fleet.Config, fc fedConfig, 
 	}
 	fmt.Printf("federation: %d verifier nodes, %d replica(s) per device (%s)\n", fc.nodes, replicas, persisted)
 
-	progID, err := coord.RegisterProgram(prog, core.Config{}, [][]uint32{w.Input})
+	progID, err := coord.RegisterProgram(prog, devCfg, [][]uint32{w.Input})
 	if err != nil {
 		return err
 	}
@@ -175,7 +174,7 @@ func runFederated(shape fleetShape, sweeps int, cfg fleet.Config, fc fedConfig, 
 
 	defer devs.close()
 	start := time.Now()
-	if err := devs.spawn(shape, prog, atk, proverIdleTimeout(cfg), progID, coord.Enroll); err != nil {
+	if err := devs.spawn(shape, prog, devCfg, atk, proverIdleTimeout(cfg), progID, coord.Enroll); err != nil {
 		return err
 	}
 	fmt.Printf("enrolled %d devices across %d nodes (%d armed with %q, %d stalled, %d dropping) in %v\n",

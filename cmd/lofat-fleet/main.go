@@ -42,7 +42,6 @@ import (
 	"os"
 	"time"
 
-	"lofat/internal/core"
 	"lofat/internal/fleet"
 	"lofat/internal/obs"
 )
@@ -182,7 +181,7 @@ func setupObs(o obsConfig) (*obs.Hub, func(), error) {
 }
 
 func run(shape fleetShape, sweeps int, cfg fleet.Config, interval, duration time.Duration, o obsConfig) error {
-	w, atk, prog, err := shape.resolve()
+	w, atk, prog, devCfg, err := shape.resolve()
 	if err != nil {
 		return err
 	}
@@ -199,7 +198,7 @@ func run(shape fleetShape, sweeps int, cfg fleet.Config, interval, duration time
 
 	svc := fleet.NewService(cfg)
 	defer svc.Close()
-	progID, err := svc.RegisterProgram(prog, core.Config{}, [][]uint32{w.Input})
+	progID, err := svc.RegisterProgram(prog, devCfg, [][]uint32{w.Input})
 	if err != nil {
 		return err
 	}
@@ -207,7 +206,7 @@ func run(shape fleetShape, sweeps int, cfg fleet.Config, interval, duration time
 
 	defer devs.close()
 	start := time.Now()
-	if err := devs.spawn(shape, prog, atk, proverIdleTimeout(cfg), progID, svc.Enroll); err != nil {
+	if err := devs.spawn(shape, prog, devCfg, atk, proverIdleTimeout(cfg), progID, svc.Enroll); err != nil {
 		return err
 	}
 	fmt.Printf("enrolled %d devices (%d armed with %q, %d stalled, %d dropping) in %v\n",

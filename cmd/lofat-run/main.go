@@ -21,7 +21,6 @@ import (
 	"lofat"
 	"lofat/internal/core"
 	"lofat/internal/cpu"
-	"lofat/internal/isa"
 	"lofat/internal/trace"
 )
 
@@ -47,13 +46,14 @@ func main() {
 	}
 
 	var prog *lofat.Program
+	var devCfg lofat.DeviceConfig
 	switch {
 	case *name != "":
 		sys, w, err := lofat.BuildWorkload(*name, lofat.Options{})
 		if err != nil {
 			fatal(err)
 		}
-		prog = sys.Program
+		prog, devCfg = sys.Program, sys.Prover.DeviceConfig()
 		if input == nil {
 			input = w.Input
 		}
@@ -71,12 +71,11 @@ func main() {
 	}
 
 	if *traceFlag {
-		if err := dumpTrace(prog, input); err != nil {
+		if err := dumpTrace(prog, devCfg, input); err != nil {
 			fatal(err)
 		}
 	}
 
-	devCfg := lofat.DeviceConfig{}
 	if *region != "" {
 		r, err := parseRegion(prog, *region)
 		if err != nil {
@@ -117,26 +116,35 @@ device statistics:
 
 // dumpTrace runs the program once and prints every control-flow event
 // as the branch filter sees it — the ModelSim-style debugging view.
-func dumpTrace(prog *lofat.Program, input []uint32) error {
+func dumpTrace(prog *lofat.Program, devCfg lofat.DeviceConfig, input []uint32) error {
 	mach, err := cpu.Load(prog, cpu.LoadOptions{})
 	if err != nil {
 		return err
 	}
 	mach.CPU.Input = input
+	mach.CPU.IRQ = devCfg.IRQ
+	mach.CPU.TraceBatch = eventPrinter{}
+	mach.CPU.TraceCFOnly = true
 	fmt.Println("cycle      pc        kind          taken  ->dest     linking")
-	mach.CPU.Trace = trace.SinkFunc(func(e trace.Event) {
-		if e.Kind == isa.KindNone {
-			return
-		}
-		fmt.Printf("%-10d %#08x  %-12s  %-5v  %#08x  %v\n",
-			e.Cycle, e.PC, e.Kind, e.Taken, e.NextPC, e.Linking)
-	})
 	if err := mach.CPU.Run(50_000_000); err != nil {
 		return err
 	}
 	fmt.Println()
 	return nil
 }
+
+// eventPrinter is dumpTrace's observer on the batched, control-flow-only
+// trace port.
+type eventPrinter struct{}
+
+func (eventPrinter) RetireBatch(events []trace.Event) {
+	for _, e := range events {
+		fmt.Printf("%-10d %#08x  %-12s  %-5v  %#08x  %v\n",
+			e.Cycle, e.PC, e.Kind, e.Taken, e.NextPC, e.Linking)
+	}
+}
+
+func (eventPrinter) Sync(uint64) {}
 
 // parseRegion resolves "startLabel,endLabel" (or hex addresses) into an
 // attested code range.

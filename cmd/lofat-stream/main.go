@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"lofat/internal/attest"
-	"lofat/internal/core"
 	"lofat/internal/obs"
 	"lofat/internal/sig"
 	"lofat/internal/stream"
@@ -66,8 +65,12 @@ func run(workload, attackName string, segment int, traceOut string) error {
 	if err != nil {
 		return err
 	}
-	ap := attest.NewProver(prog, core.Config{}, keys)
-	av, err := attest.NewVerifier(prog, core.Config{}, keys.Public(), rand.Reader)
+	devCfg, err := w.DeviceConfig(prog)
+	if err != nil {
+		return err
+	}
+	ap := attest.NewProver(prog, devCfg, keys)
+	av, err := attest.NewVerifier(prog, devCfg, keys.Public(), rand.Reader)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"lofat/internal/core"
 	"lofat/internal/cpu"
 	"lofat/internal/sig"
+	"lofat/internal/trace"
 )
 
 // Adversary is an optional attack hook run before every instruction. It
@@ -63,7 +64,7 @@ func (p *Prover) Attest(ch Challenge) (*Report, error) {
 	if ch.Program != p.id {
 		return nil, fmt.Errorf("attest: challenge for program %v, running %v", ch.Program, p.id)
 	}
-	meas, exitCode, err := runMeasured(p.prog, p.devCfg, ch.Input, p.Adversary, p.MaxInstructions)
+	meas, exitCode, err := RunMeasured(p.prog, p.devCfg, ch.Input, p.MaxInstructions, p.Adversary, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -82,10 +83,20 @@ func (p *Prover) Attest(ch Challenge) (*Report, error) {
 // measurement; used by provers for self-test and by the verifier for
 // golden-run expectations.
 func Measure(prog *asm.Program, devCfg core.Config, input []uint32, maxInstructions uint64) (core.Measurement, uint32, error) {
-	return runMeasured(prog, devCfg, input, nil, maxInstructions)
+	return RunMeasured(prog, devCfg, input, maxInstructions, nil, nil)
 }
 
-func runMeasured(prog *asm.Program, devCfg core.Config, input []uint32, adv Adversary, budget uint64) (core.Measurement, uint32, error) {
+// RunMeasured is the one measured-run loop; every attested execution
+// and every golden run, plain or streamed, goes through it. It runs
+// prog on a pooled machine under a pooled LO-FAT device on the batched
+// trace port and returns the device's measurement and the exit code.
+// adv (optional) runs before every instruction. tap (optional) receives
+// the acquired device and returns the sink to wire in its place (the
+// segment emitter: it forwards to the device and itself needs only the
+// control-flow events) and an optional poll, consulted after every
+// instruction; a poll error stops the run there.
+func RunMeasured(prog *asm.Program, devCfg core.Config, input []uint32, budget uint64, adv Adversary,
+	tap func(*core.Device) (trace.BatchSink, func() error)) (core.Measurement, uint32, error) {
 	mach, err := cpu.AcquireMachine(prog, cpu.LoadOptions{})
 	if err != nil {
 		return core.Measurement{}, 0, err
@@ -93,28 +104,42 @@ func runMeasured(prog *asm.Program, devCfg core.Config, input []uint32, adv Adve
 	defer cpu.ReleaseMachine(mach)
 	dev := core.AcquireDevice(devCfg)
 	defer core.ReleaseDevice(dev)
-	// Fast trace port: batched delivery, masked to control-flow events
-	// whenever the device accepts that (no Region configured). Either
-	// way the measurement is bit-identical to per-event delivery.
-	mach.CPU.TraceBatch = dev
+	var sink trace.BatchSink = dev
+	var poll func() error
+	if tap != nil {
+		sink, poll = tap(dev)
+	}
+	// Batched delivery, masked to control-flow events whenever the
+	// device accepts that (no Region configured). Either way the
+	// measurement is bit-identical to per-event delivery.
+	mach.CPU.TraceBatch = sink
 	mach.CPU.TraceCFOnly = dev.CFOnlyCompatible()
 	mach.CPU.Input = input
 	mach.CPU.IRQ = devCfg.IRQ
 
-	if adv == nil {
+	if adv == nil && poll == nil {
+		// No per-step call at all; the loop below finds the core halted.
 		if err := mach.CPU.Run(budget); err != nil {
 			return core.Measurement{}, 0, fmt.Errorf("attest: %w", err)
 		}
-	} else {
-		for !mach.CPU.Halted {
-			if mach.CPU.Retired >= budget {
-				return core.Measurement{}, 0, fmt.Errorf("attest: instruction budget exhausted at pc=%#08x", mach.CPU.PC)
-			}
+	}
+	for !mach.CPU.Halted {
+		if mach.CPU.Retired >= budget {
+			return core.Measurement{}, 0, fmt.Errorf("attest: instruction budget %d exhausted at pc=%#08x", budget, mach.CPU.PC)
+		}
+		if adv != nil {
 			if err := adv(mach); err != nil {
 				return core.Measurement{}, 0, fmt.Errorf("attest: adversary: %w", err)
 			}
-			if err := mach.CPU.Step(); err != nil {
-				return core.Measurement{}, 0, err
+		}
+		if err := mach.CPU.Step(); err != nil {
+			return core.Measurement{}, 0, err
+		}
+		if poll != nil {
+			// Flush first: an abort stops the run within one instruction.
+			mach.CPU.FlushTrace()
+			if err := poll(); err != nil {
+				return core.Measurement{}, 0, fmt.Errorf("attest: aborted mid-run: %w", err)
 			}
 		}
 	}

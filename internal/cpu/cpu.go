@@ -6,14 +6,16 @@
 // not absolute IPC), and publishes every retired instruction on a trace
 // port that LO-FAT taps in parallel, exactly as the hardware does.
 //
-// Two trace ports are offered. The legacy per-event port (Trace) crosses
-// the trace.Sink interface once per retirement. The fast port
-// (TraceBatch) buffers events and delivers them in batches, optionally
-// masked to control-flow events only (TraceCFOnly) — the millions of ALU
-// retirements a branch filter would discard anyway never leave the core.
-// Both ports carry identical events in identical order; the batched port
-// additionally Syncs the observer clock at flush points so cycle-model
-// observers stay bit-identical with per-event delivery.
+// Two trace ports are offered. The fast port (TraceBatch) buffers events
+// and delivers them in batches, optionally masked to control-flow events
+// only (TraceCFOnly) — the millions of ALU retirements a branch filter
+// would discard anyway never leave the core; every product observer
+// uses it. The per-event port (Trace) crosses the trace.Sink interface
+// once per retirement and is kept as the reference the differential
+// tests compare the fast port against. Both ports carry identical events
+// in identical order; the batched port additionally Syncs the observer
+// clock at flush points so cycle-model observers stay bit-identical with
+// per-event delivery.
 package cpu
 
 import (
@@ -120,8 +122,10 @@ type CPU struct {
 	// Costs is the pipeline cycle-cost model.
 	Costs CostModel
 
-	// Trace receives every retired instruction; nil disables tracing.
-	// Ignored when TraceBatch is set.
+	// Trace is the reference trace port: every retired instruction, one
+	// interface call each. Tests compare the batched port against it;
+	// product code wires TraceBatch, which takes precedence. Nil
+	// disables it.
 	Trace trace.Sink
 
 	// TraceBatch is the fast trace port: events are buffered and
@@ -617,7 +621,9 @@ func (c *CPU) flushBatch() {
 // FlushTrace delivers any buffered batched-trace events and syncs the
 // observer clock to the core clock. Called automatically at halt;
 // callers that stop stepping before the exit ecall (fixed-step harnesses)
-// must call it before finalizing the observer.
+// must call it before finalizing the observer, and a caller that needs
+// its observer current after every instruction (a streamed prover
+// polling for an abort) calls it after every Step.
 //
 //lofat:zeroalloc
 func (c *CPU) FlushTrace() {

@@ -1,6 +1,7 @@
 package hashengine
 
 import (
+	"math/bits"
 	"testing"
 
 	"lofat/internal/obs"
@@ -99,6 +100,53 @@ func TestWritePairMatchesWrite(t *testing.T) {
 		if viaPair.Sum() != viaWrite.Sum() {
 			t.Fatalf("prefix %d: WritePair digest != Write digest", prefix)
 		}
+	}
+}
+
+// Rotation offsets and lane permutation for the rho/pi steps, in the
+// order the combined loop visits lanes.
+var (
+	rotc = [24]int{1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14,
+		27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44}
+	piln = [24]int{10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4,
+		15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1}
+)
+
+// keccakF1600Generic is the textbook loop formulation of the
+// permutation, kept as the executable specification the unrolled
+// keccakF1600 is differentially tested against.
+func keccakF1600Generic(a *[25]uint64) {
+	var bc [5]uint64
+	for round := 0; round < 24; round++ {
+		// theta
+		for i := 0; i < 5; i++ {
+			bc[i] = a[i] ^ a[i+5] ^ a[i+10] ^ a[i+15] ^ a[i+20]
+		}
+		for i := 0; i < 5; i++ {
+			t := bc[(i+4)%5] ^ bits.RotateLeft64(bc[(i+1)%5], 1)
+			for j := 0; j < 25; j += 5 {
+				a[j+i] ^= t
+			}
+		}
+		// rho + pi
+		t := a[1]
+		for i := 0; i < 24; i++ {
+			j := piln[i]
+			bc[0] = a[j]
+			a[j] = bits.RotateLeft64(t, rotc[i])
+			t = bc[0]
+		}
+		// chi
+		for j := 0; j < 25; j += 5 {
+			for i := 0; i < 5; i++ {
+				bc[i] = a[j+i]
+			}
+			for i := 0; i < 5; i++ {
+				a[j+i] = bc[i] ^ (^bc[(i+1)%5] & bc[(i+2)%5])
+			}
+		}
+		// iota
+		a[0] ^= roundConstants[round]
 	}
 }
 

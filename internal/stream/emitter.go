@@ -1,24 +1,22 @@
 package stream
 
 import (
-	"fmt"
-
 	"lofat/internal/asm"
+	"lofat/internal/attest"
 	"lofat/internal/core"
-	"lofat/internal/cpu"
 	"lofat/internal/hashengine"
 	"lofat/internal/isa"
 	"lofat/internal/trace"
 )
 
 // SegmentFunc receives each sealed segment as the run streams. A
-// non-nil error stops measurement: the prover's run loop observes it
-// and aborts the execution — this is how a verifier-side early abort
-// propagates back into the device mid-run.
+// non-nil error stops measurement: the run loop polls Err after every
+// instruction and aborts the execution — this is how a verifier-side
+// early abort propagates back into the device mid-run.
 type SegmentFunc func(core.Segment) error
 
-// Emitter is the device-side checkpoint unit: a trace.Sink wrapper
-// over core.Device. Every retired instruction is forwarded to the
+// Emitter is the device-side checkpoint unit: a trace.BatchSink wrapper
+// over core.Device. Every event the core delivers is forwarded to the
 // wrapped device unchanged (the end-of-run measurement (A, L) is
 // exactly what it would be without streaming); in parallel the emitter
 // records the (Src, Dest) edge of each measured control-flow event and
@@ -60,23 +58,6 @@ func NewEmitter(dev *core.Device, devCfg core.Config, windowEvents int, emit Seg
 	}
 }
 
-// Retire implements trace.Sink.
-func (e *Emitter) Retire(ev trace.Event) {
-	e.dev.Retire(ev)
-	if e.err != nil {
-		return
-	}
-	if ev.Kind == isa.KindNone || !e.region.Contains(ev.PC) {
-		return
-	}
-	src, dest := ev.SrcDest()
-	e.edges = append(e.edges, hashengine.Pair{Src: src, Dest: dest})
-	e.events++
-	if len(e.edges) >= e.window {
-		e.seal()
-	}
-}
-
 // seal closes the current window into a segment and extends the chain.
 func (e *Emitter) seal() {
 	e.chain = hashengine.ChainPairs(e.chain, e.edges)
@@ -97,10 +78,25 @@ func (e *Emitter) seal() {
 	}
 }
 
-// RetireBatch implements trace.BatchSink, the core's fast trace port.
+// RetireBatch implements trace.BatchSink, the core's fast trace port:
+// the batch goes to the wrapped device unchanged, and every measured
+// control-flow event in it adds an edge to the current window.
 func (e *Emitter) RetireBatch(events []trace.Event) {
+	e.dev.RetireBatch(events)
 	for i := range events {
-		e.Retire(events[i])
+		if e.err != nil {
+			return
+		}
+		ev := &events[i]
+		if ev.Kind == isa.KindNone || !e.region.Contains(ev.PC) {
+			continue
+		}
+		src, dest := ev.SrcDest()
+		e.edges = append(e.edges, hashengine.Pair{Src: src, Dest: dest})
+		e.events++
+		if len(e.edges) >= e.window {
+			e.seal()
+		}
 	}
 }
 
@@ -121,15 +117,14 @@ func (e *Emitter) SegmentCount() uint32 { return e.index }
 // ChainValue returns the current chain head.
 func (e *Emitter) ChainValue() [hashengine.DigestSize]byte { return e.chain }
 
-// Finalize seals the partial tail window (if any), finalizes the
-// wrapped device, and returns the measurement — with Segments attached
-// in golden-run mode. The SegmentFunc error, if any, is returned so
-// callers do not mistake an aborted run for a complete one.
-func (e *Emitter) Finalize() (core.Measurement, error) {
+// Finalize seals the partial tail window (if any) and returns m, the
+// wrapped device's end-of-run measurement, with the retained segments
+// attached in golden-run mode. The SegmentFunc error, if any, is
+// returned so callers do not mistake an aborted run for a complete one.
+func (e *Emitter) Finalize(m core.Measurement) (core.Measurement, error) {
 	if len(e.edges) > 0 && e.err == nil {
 		e.seal()
 	}
-	m := e.dev.Finalize()
 	m.Segments = e.segs
 	return m, e.err
 }
@@ -139,30 +134,14 @@ func (e *Emitter) Finalize() (core.Measurement, error) {
 // verifier-side half of segmented attestation. It mirrors
 // attest.Measure, adding the streaming instrumentation.
 func MeasureStream(prog *asm.Program, devCfg core.Config, input []uint32, segmentEvents int, budget uint64) (core.Measurement, uint32, error) {
-	mach, err := cpu.AcquireMachine(prog, cpu.LoadOptions{})
+	var em *Emitter
+	meas, exitCode, err := attest.RunMeasured(prog, devCfg, input, budget, nil, func(dev *core.Device) (trace.BatchSink, func() error) {
+		em = NewEmitter(dev, devCfg, segmentEvents, nil)
+		return em, nil
+	})
 	if err != nil {
 		return core.Measurement{}, 0, err
 	}
-	defer cpu.ReleaseMachine(mach)
-	dev := core.AcquireDevice(devCfg)
-	defer core.ReleaseDevice(dev)
-	em := NewEmitter(dev, devCfg, segmentEvents, nil)
-	// Golden runs take the batched trace port; the control-flow-only
-	// mask is exact here because the emitter ignores non-control-flow
-	// events and the device accepts the mask whenever no Region is set.
-	mach.CPU.TraceBatch = em
-	mach.CPU.TraceCFOnly = dev.CFOnlyCompatible()
-	mach.CPU.Input = input
-	mach.CPU.IRQ = devCfg.IRQ
-
-	for !mach.CPU.Halted {
-		if mach.CPU.Retired >= budget {
-			return core.Measurement{}, 0, fmt.Errorf("stream: instruction budget exhausted at pc=%#08x", mach.CPU.PC)
-		}
-		if err := mach.CPU.Step(); err != nil {
-			return core.Measurement{}, 0, err
-		}
-	}
-	m, _ := em.Finalize() // emit is nil: no SegmentFunc error possible
-	return m, mach.CPU.ExitCode, nil
+	meas, _ = em.Finalize(meas) // emit is nil: no SegmentFunc error possible
+	return meas, exitCode, nil
 }

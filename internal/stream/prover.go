@@ -5,7 +5,7 @@ import (
 
 	"lofat/internal/attest"
 	"lofat/internal/core"
-	"lofat/internal/cpu"
+	"lofat/internal/trace"
 )
 
 // Prover is the device-side half of segmented attestation: it wraps an
@@ -42,50 +42,30 @@ func (p *Prover) Stream(open OpenRequest, emit func(*SegmentReport) error) (*Clo
 		return nil, fmt.Errorf("stream: segment window %d out of range [1, %d]", open.SegmentEvents, MaxSegmentEvents)
 	}
 
-	mach, err := cpu.Load(p.ap.Program(), cpu.LoadOptions{})
+	devCfg := p.ap.DeviceConfig()
+	var em *Emitter
+	meas, exitCode, err := attest.RunMeasured(p.ap.Program(), devCfg, open.Input, p.ap.MaxInstructions, p.ap.Adversary,
+		func(dev *core.Device) (trace.BatchSink, func() error) {
+			em = NewEmitter(dev, devCfg, n, func(seg core.Segment) error {
+				sr := &SegmentReport{
+					Program: open.Program,
+					Nonce:   open.Nonce,
+					Index:   seg.Index,
+					Events:  seg.Events,
+					Chain:   seg.Chain,
+					Edges:   seg.Edges,
+				}
+				sr.Sig = p.ap.Sign(SegmentPayload(sr))
+				return emit(sr)
+			})
+			// Polled after every instruction: a failed emit stops the
+			// device within one instruction.
+			return em, em.Err
+		})
 	if err != nil {
 		return nil, err
 	}
-	devCfg := p.ap.DeviceConfig()
-	dev := core.NewDevice(devCfg)
-	em := NewEmitter(dev, devCfg, n, func(seg core.Segment) error {
-		sr := &SegmentReport{
-			Program: open.Program,
-			Nonce:   open.Nonce,
-			Index:   seg.Index,
-			Events:  seg.Events,
-			Chain:   seg.Chain,
-			Edges:   seg.Edges,
-		}
-		sr.Sig = p.ap.Sign(SegmentPayload(sr))
-		return emit(sr)
-	})
-	// Per-event delivery, deliberately not the batched port: the run
-	// loop polls em.Err() every step so a verifier-side abort stops the
-	// execution within one instruction, not one batch.
-	mach.CPU.Trace = em
-	mach.CPU.Input = open.Input
-	mach.CPU.IRQ = devCfg.IRQ
-
-	adv := p.ap.Adversary
-	for !mach.CPU.Halted {
-		if mach.CPU.Retired >= p.ap.MaxInstructions {
-			return nil, fmt.Errorf("stream: instruction budget exhausted at pc=%#08x", mach.CPU.PC)
-		}
-		if adv != nil {
-			if err := adv(mach); err != nil {
-				return nil, fmt.Errorf("stream: adversary: %w", err)
-			}
-		}
-		if err := mach.CPU.Step(); err != nil {
-			return nil, err
-		}
-		if err := em.Err(); err != nil {
-			return nil, fmt.Errorf("stream: aborted mid-run: %w", err)
-		}
-	}
-	meas, err := em.Finalize()
-	if err != nil {
+	if _, err := em.Finalize(meas); err != nil {
 		return nil, fmt.Errorf("stream: aborted at final segment: %w", err)
 	}
 
@@ -94,7 +74,7 @@ func (p *Prover) Stream(open OpenRequest, emit func(*SegmentReport) error) (*Clo
 		Nonce:    open.Nonce,
 		Hash:     meas.Hash,
 		Loops:    meas.Loops,
-		ExitCode: mach.CPU.ExitCode,
+		ExitCode: exitCode,
 	}
 	rep.Sig = p.ap.Sign(attest.SignedPayload(&rep))
 	return &CloseReport{

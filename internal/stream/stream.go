@@ -17,15 +17,19 @@
 //
 // The moving parts:
 //
-//   - Emitter: a trace.Sink wrapper over core.Device. It forwards every
-//     retired instruction to the device (the normal A/L measurement is
-//     unchanged) and, in parallel, records the (Src, Dest) edge of each
-//     measured control-flow event. Every N edges it seals a
-//     core.Segment whose chain value is SHA3-512(previous chain ||
-//     edge window) — segment k commits to segments 0..k-1, so an
+//   - Emitter: a trace.BatchSink wrapper over core.Device, wired to the
+//     core's batched trace port by attest.RunMeasured like every other
+//     measured run. It forwards every event to the device (the normal
+//     A/L measurement is unchanged) and, in parallel, records the (Src,
+//     Dest) edge of each measured control-flow event. Every N edges it
+//     seals a core.Segment whose chain value is SHA3-512(previous chain
+//     || edge window) — segment k commits to segments 0..k-1, so an
 //     already-reported prefix cannot be rewritten.
 //   - Prover: wraps attest.Prover; runs S(i) under the emitter, signing
-//     each segment and the final close report with the device key.
+//     each segment and the final close report with the device key. The
+//     run flushes the trace port and polls the emitter after every
+//     instruction, so a segment that cannot be delivered (the verifier
+//     rejected and hung up) stops the device within one instruction.
 //   - Verifier/Session: wraps attest.Verifier; golden-runs S(i) once
 //     under the same emitter (cached through attest.ExpectationCache,
 //     so fleets amortize streamed golden runs exactly like plain ones)

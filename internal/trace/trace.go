@@ -54,8 +54,9 @@ func (e Event) IsInterrupt() bool {
 	return e.Kind == isa.KindIRQEnter || e.Kind == isa.KindIRQRet
 }
 
-// Sink consumes retired-instruction events. Implementations must not
-// retain the event past the call.
+// Sink consumes retired-instruction events one at a time: the reference
+// trace port, which tests compare the batched port (BatchSink) against.
+// Implementations must not retain the event past the call.
 type Sink interface {
 	Retire(Event)
 }
@@ -65,20 +66,6 @@ type SinkFunc func(Event)
 
 // Retire implements Sink.
 func (f SinkFunc) Retire(e Event) { f(e) }
-
-// Multi fans one event stream out to several sinks in order. A single
-// sink is returned unwrapped so the common one-observer case pays no
-// extra indirection.
-func Multi(sinks ...Sink) Sink {
-	if len(sinks) == 1 {
-		return sinks[0]
-	}
-	return SinkFunc(func(e Event) {
-		for _, s := range sinks {
-			s.Retire(e)
-		}
-	})
-}
 
 // BatchSink consumes retired-instruction events in batches: the fast
 // trace port. The core buffers events and delivers them in program
@@ -97,17 +84,3 @@ type BatchSink interface {
 	// it.
 	Sync(cycle uint64)
 }
-
-// Batch adapts a per-event Sink to the batched interface, keeping old
-// observers attachable to the fast trace port.
-type Batch struct{ Sink Sink }
-
-// RetireBatch implements BatchSink by replaying the batch per event.
-func (b Batch) RetireBatch(events []Event) {
-	for i := range events {
-		b.Sink.Retire(events[i])
-	}
-}
-
-// Sync implements BatchSink; per-event sinks carry no clock state.
-func (b Batch) Sync(uint64) {}

@@ -33,46 +33,6 @@ func TestSrcDest(t *testing.T) {
 	}
 }
 
-// multiProbe is a concrete sink type so unwrapping is observable.
-type multiProbe struct{ pcs []uint32 }
-
-func (p *multiProbe) Retire(e Event) { p.pcs = append(p.pcs, e.PC) }
-
-func TestMultiSingleSinkUnwrapped(t *testing.T) {
-	p := &multiProbe{}
-	sink := Multi(p)
-	if sink != Sink(p) {
-		t.Errorf("Multi(single) wrapped the sink instead of returning it")
-	}
-	sink.Retire(Event{PC: 7})
-	if len(p.pcs) != 1 || p.pcs[0] != 7 {
-		t.Errorf("unwrapped sink did not receive the event: %v", p.pcs)
-	}
-}
-
-func TestBatchAdapter(t *testing.T) {
-	p := &multiProbe{}
-	b := Batch{Sink: p}
-	b.RetireBatch([]Event{{PC: 1}, {PC: 2}, {PC: 3}})
-	b.Sync(99) // no-op for per-event sinks
-	if len(p.pcs) != 3 || p.pcs[0] != 1 || p.pcs[2] != 3 {
-		t.Errorf("batch adapter replay broken: %v", p.pcs)
-	}
-}
-
-func TestMultiFanOut(t *testing.T) {
-	var a, b []uint32
-	sink := Multi(
-		SinkFunc(func(e Event) { a = append(a, e.PC) }),
-		SinkFunc(func(e Event) { b = append(b, e.PC) }),
-	)
-	sink.Retire(Event{PC: 1})
-	sink.Retire(Event{PC: 2})
-	if len(a) != 2 || len(b) != 2 || a[1] != 2 || b[0] != 1 {
-		t.Errorf("fan-out broken: %v %v", a, b)
-	}
-}
-
 func TestIsInterrupt(t *testing.T) {
 	cases := []struct {
 		kind isa.ControlFlowKind

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lofat/internal/asm"
+	"lofat/internal/core"
 	"lofat/internal/cpu"
 )
 
@@ -79,4 +80,13 @@ func (w Workload) Schedule(prog *asm.Program) (cpu.IRQSchedule, error) {
 		Period: w.IRQPeriod,
 		Count:  w.IRQCount,
 	}, nil
+}
+
+// DeviceConfig builds the device configuration the workload expects:
+// paper defaults, plus its interrupt schedule when it is
+// interrupt-driven (pump-isr). Prover and verifier must derive it the
+// same way or the expected measurement diverges.
+func (w Workload) DeviceConfig(prog *asm.Program) (core.Config, error) {
+	sched, err := w.Schedule(prog)
+	return core.Config{IRQ: sched}, err
 }

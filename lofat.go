@@ -247,7 +247,9 @@ func BuildSource(source string, opts Options) (*System, error) {
 	return Build(prog, opts)
 }
 
-// BuildWorkload is Build for a named workload from the evaluation suite.
+// BuildWorkload is Build for a named workload from the evaluation
+// suite. An interrupt-driven workload (pump-isr) gets its own interrupt
+// schedule unless opts.Device.IRQ already sets one.
 func BuildWorkload(name string, opts Options) (*System, Workload, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -256,6 +258,11 @@ func BuildWorkload(name string, opts Options) (*System, Workload, error) {
 	prog, err := w.Assemble()
 	if err != nil {
 		return nil, Workload{}, err
+	}
+	if opts.Device.IRQ == (cpu.IRQSchedule{}) {
+		if opts.Device.IRQ, err = w.Schedule(prog); err != nil {
+			return nil, Workload{}, err
+		}
 	}
 	sys, err := Build(prog, opts)
 	return sys, w, err

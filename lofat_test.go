@@ -44,17 +44,29 @@ func TestMeasureSource(t *testing.T) {
 	}
 }
 
+// TestBuildWorkload attests every workload of the suite as built, plain
+// and streamed: BuildWorkload has to derive whatever the workload needs
+// beyond paper defaults (pump-isr's interrupt schedule).
 func TestBuildWorkload(t *testing.T) {
-	sys, w, err := lofat.BuildWorkload("syringe-pump", lofat.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.AttestOnce(w.Input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Accepted {
-		t.Fatalf("syringe pump rejected: %v %v", res, res.Findings)
+	for _, wl := range lofat.Workloads() {
+		sys, w, err := lofat.BuildWorkload(wl.Name, lofat.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.AttestOnce(w.Input)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if !res.Accepted {
+			t.Errorf("%s rejected: %v %v", w.Name, res, res.Findings)
+		}
+		sres, err := sys.AttestStreamed(w.Input, 8)
+		if err != nil {
+			t.Fatalf("%s streamed: %v", w.Name, err)
+		}
+		if !sres.Accepted {
+			t.Errorf("%s rejected streamed: %v %v", w.Name, sres, sres.Findings)
+		}
 	}
 	if _, _, err := lofat.BuildWorkload("nope", lofat.Options{}); err == nil {
 		t.Error("unknown workload accepted")
