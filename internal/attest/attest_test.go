@@ -6,10 +6,13 @@ import (
 	"net"
 	"testing"
 
+	"lofat/internal/asm"
 	. "lofat/internal/attest"
 	"lofat/internal/core"
+	"lofat/internal/cpu"
 	"lofat/internal/obs"
 	"lofat/internal/sig"
+	"lofat/internal/trace"
 	"lofat/internal/workloads"
 )
 
@@ -352,5 +355,54 @@ func TestMetadataSize(t *testing.T) {
 	if MetadataSize(rb.Loops) <= MetadataSize(rs.Loops) {
 		t.Errorf("metadata size did not grow: %d vs %d",
 			MetadataSize(rb.Loops), MetadataSize(rs.Loops))
+	}
+}
+
+// TestRunMeasuredErrorIndependentOfHooks: a failure reads the same
+// whether RunMeasured drives the core with one cpu.Run (no hooks) or
+// steps it for an adversary or a poll tap.
+func TestRunMeasuredErrorIndependentOfHooks(t *testing.T) {
+	pumpW := workloads.SyringePump()
+	pump, err := pumpW.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk, err := asm.Assemble("main:\n\tli t0, 1\n\tebreak\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failures := []struct {
+		name   string
+		prog   *asm.Program
+		input  []uint32
+		budget uint64
+	}{
+		{"budget", pump, pumpW.Input, 100},
+		{"ebreak", brk, nil, 1000},
+	}
+	hooks := []struct {
+		name string
+		adv  Adversary
+		tap  func(*core.Device) (trace.BatchSink, func() error)
+	}{
+		{"none", nil, nil},
+		{"no-op adversary", func(*cpu.Machine) error { return nil }, nil},
+		{"no-op poll tap", nil, func(dev *core.Device) (trace.BatchSink, func() error) {
+			return dev, func() error { return nil }
+		}},
+	}
+	for _, f := range failures {
+		var want string
+		for _, h := range hooks {
+			_, _, err := RunMeasured(f.prog, core.Config{}, f.input, f.budget, h.adv, h.tap)
+			switch {
+			case err == nil:
+				t.Fatalf("%s with %s: no error", f.name, h.name)
+			case want == "":
+				want = err.Error()
+			case err.Error() != want:
+				t.Errorf("%s with %s: %q, want %q (as with no hooks)", f.name, h.name, err, want)
+			}
+		}
 	}
 }

@@ -116,32 +116,39 @@ func RunMeasured(prog *asm.Program, devCfg core.Config, input []uint32, budget u
 	mach.CPU.TraceCFOnly = dev.CFOnlyCompatible()
 	mach.CPU.Input = input
 	mach.CPU.IRQ = devCfg.IRQ
+	if err := drive(mach, budget, adv, poll); err != nil {
+		return core.Measurement{}, 0, fmt.Errorf("attest: %w", err)
+	}
+	return dev.Finalize(), mach.CPU.ExitCode, nil
+}
 
+// drive runs mach to halt within budget instructions: one cpu.Run when
+// no per-step hook is set, a Step loop otherwise. A budget or exec fault
+// reads the same either way, so RunMeasured's error text does not depend
+// on which hooks are set.
+func drive(mach *cpu.Machine, budget uint64, adv Adversary, poll func() error) error {
 	if adv == nil && poll == nil {
-		// No per-step call at all; the loop below finds the core halted.
-		if err := mach.CPU.Run(budget); err != nil {
-			return core.Measurement{}, 0, fmt.Errorf("attest: %w", err)
-		}
+		return mach.CPU.Run(budget)
 	}
 	for !mach.CPU.Halted {
 		if mach.CPU.Retired >= budget {
-			return core.Measurement{}, 0, fmt.Errorf("attest: instruction budget %d exhausted at pc=%#08x", budget, mach.CPU.PC)
+			return fmt.Errorf("cpu: instruction budget %d exhausted at pc=%#08x", budget, mach.CPU.PC)
 		}
 		if adv != nil {
 			if err := adv(mach); err != nil {
-				return core.Measurement{}, 0, fmt.Errorf("attest: adversary: %w", err)
+				return fmt.Errorf("adversary: %w", err)
 			}
 		}
 		if err := mach.CPU.Step(); err != nil {
-			return core.Measurement{}, 0, err
+			return err
 		}
 		if poll != nil {
 			// Flush first: an abort stops the run within one instruction.
 			mach.CPU.FlushTrace()
 			if err := poll(); err != nil {
-				return core.Measurement{}, 0, fmt.Errorf("attest: aborted mid-run: %w", err)
+				return fmt.Errorf("aborted mid-run: %w", err)
 			}
 		}
 	}
-	return dev.Finalize(), mach.CPU.ExitCode, nil
+	return nil
 }

@@ -8,13 +8,14 @@
 //
 // Two trace ports are offered. The fast port (TraceBatch) buffers events
 // and delivers them in batches, optionally masked to control-flow events
-// only (TraceCFOnly) — the millions of ALU retirements a branch filter
-// would discard anyway never leave the core; every product observer
-// uses it. The per-event port (Trace) crosses the trace.Sink interface
-// once per retirement and is kept as the reference the differential
-// tests compare the fast port against. Both ports carry identical events
-// in identical order; the batched port additionally Syncs the observer
-// clock at flush points so cycle-model observers stay bit-identical with
+// only (TraceCFOnly); every product observer uses it. The per-event port
+// (Trace) is the reference the differential tests compare it against. An
+// event is built only if a wired port takes it: the millions of ALU
+// retirements a branch filter would discard anyway, and every retirement
+// of an unobserved core, never become one. Both ports carry identical
+// events in identical order; the batched port additionally Syncs the
+// observer clock at flush points (halt included, even when the exit
+// ecall is masked) so cycle-model observers stay bit-identical with
 // per-event delivery.
 package cpu
 
@@ -132,9 +133,10 @@ type CPU struct {
 	// delivered in batches of up to TraceBatchSize, with a clock Sync at
 	// halt. Takes precedence over Trace.
 	TraceBatch trace.BatchSink
-	// TraceCFOnly suppresses non-control-flow events on the batched
-	// port. Only exact for observers that do not key internal state to
-	// non-control-flow retirements (see core.Device.CFOnlyCompatible).
+	// TraceCFOnly masks the batched port to control-flow events: no
+	// event is even built for any other retirement. Only exact for
+	// observers that do not key internal state to non-control-flow
+	// retirements (see core.Device.CFOnlyCompatible).
 	TraceCFOnly bool
 
 	// Input is the verifier-supplied input word stream i (§3), consumed
@@ -321,13 +323,15 @@ func (c *CPU) takeIRQ() {
 	c.irqTaken++
 	c.Cycle += c.Costs.IRQExtra
 	c.PC = c.IRQ.Vector
-	c.emit(trace.Event{
-		Cycle:  c.Cycle,
-		PC:     epc,
-		Kind:   isa.KindIRQEnter,
-		Taken:  true,
-		NextPC: c.IRQ.Vector,
-	})
+	if c.takes(isa.KindIRQEnter) {
+		c.emit(trace.Event{
+			Cycle:  c.Cycle,
+			PC:     epc,
+			Kind:   isa.KindIRQEnter,
+			Taken:  true,
+			NextPC: c.IRQ.Vector,
+		})
+	}
 }
 
 // set writes a register, honouring the hardwired x0.
@@ -570,43 +574,53 @@ func (c *CPU) exec(pc uint32, p *predecoded) error {
 	c.Retired++
 	c.PC = nextPC
 
-	c.emit(trace.Event{
-		Cycle:   c.Cycle,
-		PC:      pc,
-		Word:    p.word,
-		Inst:    in,
-		Kind:    p.kind,
-		Taken:   taken,
-		NextPC:  nextPC,
-		Linking: p.linking,
-	})
+	if c.takes(p.kind) {
+		c.emit(trace.Event{
+			Cycle:   c.Cycle,
+			PC:      pc,
+			Word:    p.word,
+			Inst:    in,
+			Kind:    p.kind,
+			Taken:   taken,
+			NextPC:  nextPC,
+			Linking: p.linking,
+		})
+	}
+	if c.Halted {
+		// Even when the mask withheld the exit ecall itself.
+		c.FlushTrace()
+	}
 	return nil
 }
 
-// emit publishes one retirement (or interrupt-dispatch pseudo-event) on
-// whichever trace port is wired, applying the control-flow-only mask
-// and the halt-time flush on the batched port. Shared by the
-// instruction hot loop and takeIRQ so both ports see identical events
-// in identical order.
+// takes is the one rule for whether an event of kind k is built at all:
+// only if a wired port will deliver it (the batched one applies the mask).
+//
+//lofat:zeroalloc
+func (c *CPU) takes(k isa.ControlFlowKind) bool {
+	if c.TraceBatch != nil {
+		return !c.TraceCFOnly || k != isa.KindNone
+	}
+	return c.Trace != nil
+}
+
+// emit delivers an event takes admitted on whichever port is wired.
+// Shared by the instruction hot loop and takeIRQ so both ports see
+// identical events in identical order.
 //
 //lofat:zeroalloc
 func (c *CPU) emit(e trace.Event) {
-	if c.TraceBatch != nil {
-		if !(c.TraceCFOnly && e.Kind == isa.KindNone) {
-			if c.batch == nil {
-				//lofat:ignore zeroalloc one-time lazy batch buffer; reused (and Reset-retained) afterwards
-				c.batch = make([]trace.Event, 0, TraceBatchSize)
-			}
-			c.batch = append(c.batch, e)
-			if len(c.batch) >= TraceBatchSize {
-				c.flushBatch()
-			}
-		}
-		if c.Halted {
-			c.FlushTrace()
-		}
-	} else if c.Trace != nil {
+	if c.TraceBatch == nil {
 		c.Trace.Retire(e)
+		return
+	}
+	if c.batch == nil {
+		//lofat:ignore zeroalloc one-time lazy batch buffer; reused (and Reset-retained) afterwards
+		c.batch = make([]trace.Event, 0, TraceBatchSize)
+	}
+	c.batch = append(c.batch, e)
+	if len(c.batch) >= TraceBatchSize {
+		c.flushBatch()
 	}
 }
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 
 	"lofat/internal/asm"
@@ -104,69 +105,176 @@ func (r *batchRecorder) RetireBatch(events []trace.Event) {
 }
 func (r *batchRecorder) Sync(cycle uint64) { r.synced = cycle }
 
-// TestBatchTraceMatchesSink proves the batched trace port delivers the
-// identical event sequence as the per-event Sink, and that the
-// control-flow-only mask drops exactly the KindNone events.
-func TestBatchTraceMatchesSink(t *testing.T) {
-	p, err := asm.Assemble(reuseProg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// portProg prints through ecall from a counting main loop while the
+// interrupt line dispatches a counting handler, so its trace carries
+// ALU, ecall, branch and IRQ enter/return events and its Output is not
+// empty. The handler touches only t4/t5.
+const portProg = `
+	.data
+count:
+	.word 0
+	.text
+main:
+	li   t0, 0
+	li   t1, 48
+loop:
+	addi t0, t0, 1
+	andi t2, t0, 15
+	bne  t2, zero, skip
+	li   a0, 46
+	li   a7, 64
+	ecall
+skip:
+	bne  t0, t1, loop
+	la   t4, count
+	lw   a0, 0(t4)
+	li   a7, 93
+	ecall
+isr:
+	la   t4, count
+	lw   t5, 0(t4)
+	addi t5, t5, 1
+	sw   t5, 0(t4)
+	mret
+`
 
-	run := func(configure func(*CPU) func() []trace.Event) []trace.Event {
-		mach, err := Load(p, LoadOptions{})
+// TestBatchTraceMatchesSink proves the trace-port contract. The batched
+// port delivers the identical event sequence as the per-event reference
+// port, the control-flow-only mask drops exactly the KindNone events,
+// Sync reaches the final cycle although the exit ecall is masked, and a
+// core with no port wired retires identically. It covers an
+// interrupt-free program and one under an IRQ schedule (takeIRQ's
+// KindIRQEnter and mret's KindIRQRet on the trace), each driven by Run
+// and by the streamed prover's Step + FlushTrace loop.
+func TestBatchTraceMatchesSink(t *testing.T) {
+	progs := []struct {
+		name, src string
+		irq       bool
+	}{
+		{"plain", reuseProg, false},
+		{"irq", portProg, true},
+	}
+	for _, pr := range progs {
+		p, err := asm.Assemble(pr.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		collect := configure(mach.CPU)
-		if err := mach.CPU.Run(1000); err != nil {
-			t.Fatal(err)
+		var sched IRQSchedule
+		if pr.irq {
+			vector, ok := p.Entry("isr")
+			if !ok {
+				t.Fatal("no isr label")
+			}
+			sched = IRQSchedule{Vector: vector, Phase: 5, Period: 37}
 		}
-		return collect()
-	}
+		var runRef []trace.Event
+		for _, stepped := range []bool{false, true} {
+			name := pr.name + "/run"
+			if stepped {
+				name = pr.name + "/step"
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(wire func(*CPU)) *CPU {
+					mach, err := Load(p, LoadOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					mach.CPU.IRQ = sched
+					wire(mach.CPU)
+					if !stepped {
+						if err := mach.CPU.Run(10000); err != nil {
+							t.Fatal(err)
+						}
+						return mach.CPU
+					}
+					for !mach.CPU.Halted {
+						if mach.CPU.Retired >= 10000 {
+							t.Fatal("instruction budget exhausted")
+						}
+						if err := mach.CPU.Step(); err != nil {
+							t.Fatal(err)
+						}
+						mach.CPU.FlushTrace()
+					}
+					return mach.CPU
+				}
 
-	perEvent := run(func(c *CPU) func() []trace.Event {
-		var evs []trace.Event
-		c.Trace = trace.SinkFunc(func(e trace.Event) { evs = append(evs, e) })
-		return func() []trace.Event { return evs }
-	})
-	batched := run(func(c *CPU) func() []trace.Event {
-		r := &batchRecorder{}
-		c.TraceBatch = r
-		return func() []trace.Event { return r.events }
-	})
-	masked := run(func(c *CPU) func() []trace.Event {
-		r := &batchRecorder{}
-		c.TraceBatch = r
-		c.TraceCFOnly = true
-		return func() []trace.Event { return r.events }
-	})
+				var ref []trace.Event
+				refCPU := run(func(c *CPU) {
+					c.Trace = trace.SinkFunc(func(e trace.Event) { ref = append(ref, e) })
+				})
+				full, masked := &batchRecorder{}, &batchRecorder{}
+				fullCPU := run(func(c *CPU) { c.TraceBatch = full })
+				maskedCPU := run(func(c *CPU) { c.TraceBatch, c.TraceCFOnly = masked, true })
+				bareCPU := run(func(*CPU) {})
 
-	if len(perEvent) == 0 {
-		t.Fatal("no events")
-	}
-	if len(batched) != len(perEvent) {
-		t.Fatalf("batched delivered %d events, per-event %d", len(batched), len(perEvent))
-	}
-	for i := range perEvent {
-		if batched[i] != perEvent[i] {
-			t.Fatalf("event %d differs: batched %+v, sink %+v", i, batched[i], perEvent[i])
+				if len(ref) == 0 || ref[len(ref)-1].Kind != isa.KindNone {
+					t.Fatal("trace does not end in a masked exit ecall; nothing to test")
+				}
+				kinds := make(map[isa.ControlFlowKind]int)
+				for _, e := range ref {
+					kinds[e.Kind]++
+				}
+				if pr.irq && (kinds[isa.KindIRQEnter] == 0 || kinds[isa.KindIRQRet] == 0) {
+					t.Fatalf("schedule produced no IRQ enter/return events: %v", kinds)
+				}
+				if runRef == nil {
+					runRef = ref
+				} else {
+					eventsEqual(t, "stepped reference vs Run reference", ref, runRef)
+				}
+
+				eventsEqual(t, "batched", full.events, ref)
+				var wantMasked []trace.Event
+				for _, e := range ref {
+					if e.Kind != isa.KindNone {
+						wantMasked = append(wantMasked, e)
+					}
+				}
+				eventsEqual(t, "masked", masked.events, wantMasked)
+
+				for _, r := range []struct {
+					name string
+					rec  *batchRecorder
+					c    *CPU
+				}{{"batched", full, fullCPU}, {"masked", masked, maskedCPU}} {
+					if r.rec.synced != r.c.Cycle {
+						t.Errorf("%s: synced to cycle %d, core at %d", r.name, r.rec.synced, r.c.Cycle)
+					}
+				}
+				for _, c := range []struct {
+					name string
+					c    *CPU
+				}{{"batched", fullCPU}, {"masked", maskedCPU}, {"no port", bareCPU}} {
+					if !sameRetirement(c.c, refCPU) {
+						t.Errorf("%s: retired differently from the reference port: pc=%#x cycle=%d retired=%d exit=%d output=%q, want pc=%#x cycle=%d retired=%d exit=%d output=%q",
+							c.name, c.c.PC, c.c.Cycle, c.c.Retired, c.c.ExitCode, c.c.Output,
+							refCPU.PC, refCPU.Cycle, refCPU.Retired, refCPU.ExitCode, refCPU.Output)
+					}
+				}
+			})
 		}
 	}
-	var wantMasked []trace.Event
-	for _, e := range perEvent {
-		if e.Kind != isa.KindNone {
-			wantMasked = append(wantMasked, e)
+}
+
+// eventsEqual fails t unless got and want are the same event sequence.
+func eventsEqual(t *testing.T, what string, got, want []trace.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d events, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: event %d differs: got %+v, want %+v", what, i, got[i], want[i])
 		}
 	}
-	if len(masked) != len(wantMasked) {
-		t.Fatalf("masked delivered %d events, want %d", len(masked), len(wantMasked))
-	}
-	for i := range wantMasked {
-		if masked[i] != wantMasked[i] {
-			t.Fatalf("masked event %d differs", i)
-		}
-	}
+}
+
+// sameRetirement reports whether two halted cores ended in the same
+// architectural state.
+func sameRetirement(a, b *CPU) bool {
+	return a.Regs == b.Regs && a.PC == b.PC && a.Cycle == b.Cycle && a.Retired == b.Retired &&
+		a.ExitCode == b.ExitCode && a.IRQsTaken() == b.IRQsTaken() && bytes.Equal(a.Output, b.Output)
 }
 
 // TestBatchTraceSyncAtHalt verifies the observer clock is synced to the
