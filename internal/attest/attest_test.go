@@ -17,7 +17,7 @@ import (
 )
 
 // rig builds a prover/verifier pair for a workload.
-func rig(t *testing.T, w workloads.Workload) (*Prover, *Verifier) {
+func rig(t testing.TB, w workloads.Workload) (*Prover, *Verifier) {
 	t.Helper()
 	prog, err := w.Assemble()
 	if err != nil {

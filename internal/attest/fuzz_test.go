@@ -1,40 +1,79 @@
 package attest_test
 
 import (
-	"math/rand"
+	"bytes"
 	"testing"
-	"testing/quick"
 
 	. "lofat/internal/attest"
 	"lofat/internal/workloads"
 )
 
-// Decoders must never panic on arbitrary bytes (they face the network).
-func TestDecodeReportNeverPanics(t *testing.T) {
-	f := func(b []byte) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("DecodeReport panicked on %d bytes: %v", len(b), r)
-			}
-		}()
-		_, _ = DecodeReport(b)
-		_, _ = DecodeChallenge(b)
-		return true
+// roundEncodings returns the encoded challenge and report of one real
+// round per workload: the seed corpus of the decoder fuzz targets.
+func roundEncodings(f *testing.F) (challenges, reports [][]byte) {
+	for _, w := range workloads.All() {
+		p, v := rig(f, w)
+		ch, err := v.NewChallenge(w.Input)
+		if err != nil {
+			f.Fatal(err)
+		}
+		rep, err := p.Attest(ch)
+		if err != nil {
+			f.Fatal(err)
+		}
+		challenges = append(challenges, EncodeChallenge(&ch))
+		reports = append(reports, EncodeReport(rep))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
+	return challenges, reports
 }
 
-// Bit-flipping a valid encoded report must never produce an ACCEPTED
-// verification (decode error, signature failure, or mismatch — anything
-// but acceptance).
+// FuzzDecodeReport: DecodeReport faces the network, so it must never
+// panic, and any bytes it accepts must re-encode to exactly themselves
+// (the encoding is canonical, so a decoded report has one byte string).
+func FuzzDecodeReport(f *testing.F) {
+	_, reports := roundEncodings(f)
+	for _, b := range reports {
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rep, err := DecodeReport(b)
+		if err != nil {
+			return
+		}
+		if enc := EncodeReport(rep); !bytes.Equal(enc, b) {
+			t.Fatalf("accepted report re-encodes differently:\n in %x\nout %x", b, enc)
+		}
+	})
+}
+
+// FuzzDecodeChallenge is FuzzDecodeReport's twin for the challenge the
+// prover parses.
+func FuzzDecodeChallenge(f *testing.F) {
+	challenges, _ := roundEncodings(f)
+	for _, b := range challenges {
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ch, err := DecodeChallenge(b)
+		if err != nil {
+			return
+		}
+		if enc := EncodeChallenge(ch); !bytes.Equal(enc, b) {
+			t.Fatalf("accepted challenge re-encodes differently:\n in %x\nout %x", b, enc)
+		}
+	})
+}
+
+// Flipping any single bit of a valid encoded report must never produce
+// an ACCEPTED verification (decode error, signature failure, or mismatch
+// — anything but acceptance). Every bit is tried, each against a fresh
+// challenge and report so that no rejection is merely a spent nonce.
 func TestBitflippedReportsNeverAccepted(t *testing.T) {
 	p, v := rig(t, workloads.SyringePump())
 	in := workloads.SyringePump().Input
-
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 150; trial++ {
+	round := func() (Challenge, []byte) {
 		ch, err := v.NewChallenge(in)
 		if err != nil {
 			t.Fatal(err)
@@ -43,21 +82,18 @@ func TestBitflippedReportsNeverAccepted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := EncodeReport(rep)
-		// Flip 1-3 random bits.
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			i := rng.Intn(len(enc))
-			enc[i] ^= 1 << uint(rng.Intn(8))
-		}
+		return ch, EncodeReport(rep)
+	}
+	_, enc := round()
+	for bit := 0; bit < 8*len(enc); bit++ {
+		ch, enc := round()
+		enc[bit/8] ^= 1 << (bit % 8)
 		dec, err := DecodeReport(enc)
 		if err != nil {
 			continue // malformed: rejected at the parser, fine
 		}
-		res := v.Verify(ch, dec)
-		if res.Accepted {
-			// Only acceptable if the flips cancelled out to the
-			// original bytes — with >=1 flip they cannot.
-			t.Fatalf("trial %d: bit-flipped report ACCEPTED", trial)
+		if res := v.Verify(ch, dec); res.Accepted {
+			t.Fatalf("report with bit %d of byte %d flipped ACCEPTED", bit%8, bit/8)
 		}
 	}
 }

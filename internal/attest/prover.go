@@ -111,7 +111,7 @@ func RunMeasured(prog *asm.Program, devCfg core.Config, input []uint32, budget u
 	}
 	// Batched delivery, masked to control-flow events whenever the
 	// device accepts that (no Region configured). Either way the
-	// measurement is bit-identical to per-event delivery.
+	// measurement is bit-identical to the unmasked per-step reference.
 	mach.CPU.TraceBatch = sink
 	mach.CPU.TraceCFOnly = dev.CFOnlyCompatible()
 	mach.CPU.Input = input

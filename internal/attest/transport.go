@@ -25,6 +25,11 @@ const (
 // unbounded allocation.
 const maxMessageSize = 16 << 20
 
+// frameChunk is all ReadFrame allocates before payload bytes arrive: a
+// frame up to it (every report, segment and federation frame) costs one
+// exact allocation, and a longer one grows only as its bytes arrive.
+const frameChunk = 64 << 10
+
 // TransportError marks an I/O failure on the frame transport — the
 // bytes could not be moved — as opposed to a protocol violation or a
 // verification verdict. Callers use it to decide whether a failed
@@ -147,11 +152,16 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	if n > maxMessageSize {
 		return 0, nil, fmt.Errorf("attest: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, &TransportError{Op: "read frame", Err: err}
+	payload := make([]byte, min(n, frameChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, payload[off:]); err != nil {
+			return 0, nil, &TransportError{Op: "read frame", Err: err}
+		}
+		if off = len(payload); off == int(n) {
+			return hdr[0], payload, nil
+		}
+		payload = append(payload, make([]byte, min(int(n)-off, off))...)
 	}
-	return hdr[0], payload, nil
 }
 
 // RequestAttestation drives one exchange from the verifier side: send a

@@ -1,10 +1,12 @@
 package attest_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -70,6 +72,38 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 	}
 	if len(fw.written) != 0 {
 		t.Fatalf("failed WriteFrame left %d bytes on the wire", len(fw.written))
+	}
+}
+
+// TestReadFrameHostileHeader: a header claiming the 16 MiB limit and
+// then hanging up fails as a TransportError without the reader
+// allocating what the header claimed, and a legitimate frame larger than
+// the first allocation still arrives intact.
+func TestReadFrameHostileHeader(t *testing.T) {
+	hostile := []byte{MsgReport, 0, 0, 0, 1} // payload length 1<<24
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hostile))
+	runtime.ReadMemStats(&after)
+	var te *TransportError
+	if !errors.As(err, &te) {
+		t.Fatalf("truncated 16 MiB frame returned %T (%v), want *TransportError", err, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a 5-byte header made ReadFrame allocate %d bytes", got)
+	}
+
+	big := make([]byte, 300_000)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, MsgReport, big); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := ReadFrame(&buf)
+	if err != nil || typ != MsgReport || !bytes.Equal(payload, big) {
+		t.Fatalf("%d-byte frame: type %d, %d bytes, err %v", len(big), typ, len(payload), err)
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 
 // TestDeviceHotPathZeroAlloc is the runtime proof behind the
 // //lofat:zeroalloc annotations on the device's per-event path:
-// Retire, RetireBatch, and Sync digest loop iterations without
-// allocating once pools and scratch buffers are warm. Loop exit is
-// deliberately outside the measured window — record emission copies
-// the frame once per exit and carries an audited //lofat:ignore.
+// RetireBatch, one event per call as a per-step drain delivers them or
+// several at once, and Sync digest loop iterations without allocating
+// once pools and scratch buffers are warm. Loop exit is deliberately
+// outside the measured window — record emission copies the frame once
+// per exit and carries an audited //lofat:ignore.
 func TestDeviceHotPathZeroAlloc(t *testing.T) {
 	d := NewDevice(Config{})
 	mkEv := func(cycle uint64, pc, next uint32, kind isa.ControlFlowKind) trace.Event {
@@ -21,11 +22,14 @@ func TestDeviceHotPathZeroAlloc(t *testing.T) {
 
 	// Warmup: a full lifecycle (push, iterate, exit, reset) sizes the
 	// loop-state pool, the path CAM, and the record buffer.
-	d.Retire(mkEv(1, 0x120, 0x100, isa.KindCondBr))
-	d.Retire(mkEv(2, 0x11c, 0x100, isa.KindCondBr))
-	d.Retire(mkEv(3, 0x118, 0x200, isa.KindJump))
+	lifecycle := []trace.Event{
+		mkEv(1, 0x120, 0x100, isa.KindCondBr),
+		mkEv(2, 0x11c, 0x100, isa.KindCondBr),
+		mkEv(3, 0x118, 0x200, isa.KindJump),
+	}
+	d.RetireBatch(lifecycle)
 	d.Reset()
-	d.Retire(mkEv(1, 0x120, 0x100, isa.KindCondBr)) // re-enter the loop
+	d.RetireBatch(lifecycle[:1]) // re-enter the loop
 
 	iters := []trace.Event{
 		mkEv(2, 0x110, 0x118, isa.KindCondBr), // in-body branch
@@ -33,8 +37,8 @@ func TestDeviceHotPathZeroAlloc(t *testing.T) {
 	}
 	cycle := uint64(16)
 	run := func() {
-		for _, e := range iters {
-			d.Retire(e)
+		for i := range iters {
+			d.RetireBatch(iters[i : i+1])
 		}
 		d.RetireBatch(iters)
 		cycle += 16

@@ -14,7 +14,6 @@ import (
 	"lofat/internal/filter"
 	"lofat/internal/hashengine"
 	"lofat/internal/monitor"
-	"lofat/internal/obs"
 	"lofat/internal/trace"
 )
 
@@ -127,8 +126,8 @@ type Measurement struct {
 	Segments []Segment
 }
 
-// Device is the LO-FAT hardware instance. It implements trace.Sink so it
-// can be attached directly to the simulated core's trace port.
+// Device is the LO-FAT hardware instance. It implements trace.BatchSink
+// so it can be attached directly to the simulated core's trace port.
 type Device struct {
 	cfg     Config
 	filter  *filter.Filter
@@ -153,12 +152,6 @@ func NewDevice(cfg Config) *Device {
 	d.monitor = monitor.New(cfg.Monitor, d.absorb)
 	return d
 }
-
-// SetFIFOGauge publishes the hash engine's input-FIFO occupancy to g
-// (see hashengine.Engine.SetFIFOGauge). Deliberately a setter, not a
-// Config field: Config is the device-pool key and must stay free of
-// observability state.
-func (d *Device) SetFIFOGauge(g *obs.Gauge) { d.engine.SetFIFOGauge(g) }
 
 // devicePools maps a (filled) Config to a *sync.Pool of *Device.
 var devicePools sync.Map
@@ -208,14 +201,14 @@ func (d *Device) absorb(p hashengine.Pair) {
 }
 
 // RetireBatch implements trace.BatchSink: a batch of retired
-// instructions in program order from the core's fast trace port. Each
-// event carries its own cycle, so batch delivery is state-identical to
+// instructions in program order from the core's trace port. Each event
+// carries its own cycle, so batch delivery is state-identical to
 // per-event delivery.
 //
 //lofat:zeroalloc
 func (d *Device) RetireBatch(events []trace.Event) {
 	for i := range events {
-		d.Retire(events[i])
+		d.retire(events[i])
 	}
 }
 
@@ -242,18 +235,14 @@ func (d *Device) Sync(cycle uint64) {
 // attested range, so it needs the unmasked stream.
 func (d *Device) CFOnlyCompatible() bool { return d.cfg.Region == (Region{}) }
 
-// Retire implements trace.Sink: one retired instruction from the core.
+// retire digests one retired instruction from the core.
 //
 //lofat:zeroalloc
-func (d *Device) Retire(e trace.Event) {
+func (d *Device) retire(e trace.Event) {
 	if d.finalized {
 		return
 	}
-	// Advance the engine clock in step with the processor.
-	if e.Cycle > d.lastCycle {
-		d.engine.Advance(e.Cycle - d.lastCycle)
-		d.lastCycle = e.Cycle
-	}
+	d.Sync(e.Cycle) // the engine clock keeps step with the processor
 
 	// Region gating: leaving the attested range flushes any active
 	// loops (their bodies cannot continue outside); events sourced

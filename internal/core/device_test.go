@@ -33,7 +33,7 @@ func runWithDevice(t *testing.T, src string, cfg Config, input []uint32) (Measur
 	t.Helper()
 	m := cpu.MustLoadSource(src)
 	d := NewDevice(cfg)
-	m.CPU.Trace = d
+	m.CPU.TraceBatch = d
 	m.CPU.Input = input
 	if err := m.CPU.Run(10_000_000); err != nil {
 		t.Fatalf("run: %v", err)
@@ -140,7 +140,7 @@ func TestEventCompleteness(t *testing.T) {
 
 	var independent uint64
 	mach.CPU.Reset(mach.Entry, mach.StackTop)
-	mach.CPU.Trace = nil
+	mach.CPU.TraceBatch = nil
 	for !mach.CPU.Halted {
 		w, err := mach.Mem.Fetch(mach.CPU.PC)
 		if err != nil {
@@ -282,7 +282,7 @@ f1:
 func TestDeviceReset(t *testing.T) {
 	m := cpu.MustLoadSource(figure4Program)
 	d := NewDevice(Config{})
-	m.CPU.Trace = d
+	m.CPU.TraceBatch = d
 	if err := m.CPU.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,9 @@ func (b *countBatch) Sync(uint64)                      {}
 // TestRunHotPathZeroAlloc is the runtime proof behind the
 // //lofat:zeroalloc annotations on the interpreter's fetch/decode/exec
 // path: a predecoded counting loop runs to completion without a single
-// steady-state allocation, on the per-event port, on the masked batched
-// port (the halt flush included) and with no port wired.
+// steady-state allocation on the unmasked port drained after every Step
+// (the per-event reference), on the masked port under Run (the halt
+// flush included) and with no port wired.
 func TestRunHotPathZeroAlloc(t *testing.T) {
 	p, err := asm.Assemble(allocProg)
 	if err != nil {
@@ -38,32 +39,39 @@ func TestRunHotPathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired uint64
-	batched := &countBatch{}
+	stepped, masked := &countBatch{}, &countBatch{}
 	for _, port := range []struct {
-		name string
-		wire func(*CPU)
+		name    string
+		perStep bool
+		wire    func(*CPU)
 	}{
-		{"per-event", func(c *CPU) { c.Trace = trace.SinkFunc(func(trace.Event) { retired++ }) }},
-		{"masked batch", func(c *CPU) { c.Trace, c.TraceBatch, c.TraceCFOnly = nil, batched, true }},
-		{"no port", func(c *CPU) { c.Trace, c.TraceBatch, c.TraceCFOnly = nil, nil, false }},
+		{"per-step", true, func(c *CPU) { c.TraceBatch, c.TraceCFOnly = stepped, false }},
+		{"masked batch", false, func(c *CPU) { c.TraceBatch, c.TraceCFOnly = masked, true }},
+		{"no port", false, func(c *CPU) { c.TraceBatch, c.TraceCFOnly = nil, false }},
 	} {
 		port.wire(mach.CPU)
 		run := func() {
 			if err := mach.Reset(); err != nil {
 				panic(err)
 			}
+			for port.perStep && !mach.CPU.Halted {
+				if err := mach.CPU.Step(); err != nil {
+					panic(err)
+				}
+				mach.CPU.FlushTrace()
+			}
+			// Run returns at once on a core stepped to halt.
 			if err := mach.CPU.Run(10000); err != nil {
 				panic(err)
 			}
 			mach.CPU.FlushTrace()
 		}
-		run() // warm the lazy trace batch buffer
+		run() // warm up
 		if n := testing.AllocsPerRun(50, run); n != 0 {
 			t.Fatalf("%s: interpreter hot path allocates %v per run, want 0", port.name, n)
 		}
 	}
-	if retired == 0 || batched.n == 0 {
-		t.Fatalf("a port never saw an event: per-event %d, masked batch %d", retired, batched.n)
+	if stepped.n == 0 || masked.n == 0 {
+		t.Fatalf("a port never saw an event: per-step %d, masked batch %d", stepped.n, masked.n)
 	}
 }

@@ -6,17 +6,16 @@
 // not absolute IPC), and publishes every retired instruction on a trace
 // port that LO-FAT taps in parallel, exactly as the hardware does.
 //
-// Two trace ports are offered. The fast port (TraceBatch) buffers events
-// and delivers them in batches, optionally masked to control-flow events
-// only (TraceCFOnly); every product observer uses it. The per-event port
-// (Trace) is the reference the differential tests compare it against. An
-// event is built only if a wired port takes it: the millions of ALU
-// retirements a branch filter would discard anyway, and every retirement
-// of an unobserved core, never become one. Both ports carry identical
-// events in identical order; the batched port additionally Syncs the
-// observer clock at flush points (halt included, even when the exit
-// ecall is masked) so cycle-model observers stay bit-identical with
-// per-event delivery.
+// The one trace port (TraceBatch) buffers events and delivers them in
+// batches, optionally masked to control-flow events only (TraceCFOnly),
+// and Syncs the observer clock at flush points (halt included, even when
+// the exit ecall is masked). An event is built only if the port takes it:
+// the millions of ALU retirements a branch filter would discard anyway,
+// and every retirement of an unobserved core, never become one. Driven
+// by Step with FlushTrace after every step and left unmasked, the port
+// delivers every event before the next instruction retires; that is the
+// per-event reference the differential tests compare Run's batches
+// against.
 package cpu
 
 import (
@@ -123,17 +122,11 @@ type CPU struct {
 	// Costs is the pipeline cycle-cost model.
 	Costs CostModel
 
-	// Trace is the reference trace port: every retired instruction, one
-	// interface call each. Tests compare the batched port against it;
-	// product code wires TraceBatch, which takes precedence. Nil
+	// TraceBatch is the trace port: events are buffered and delivered in
+	// batches of up to TraceBatchSize, with a clock Sync at halt. Nil
 	// disables it.
-	Trace trace.Sink
-
-	// TraceBatch is the fast trace port: events are buffered and
-	// delivered in batches of up to TraceBatchSize, with a clock Sync at
-	// halt. Takes precedence over Trace.
 	TraceBatch trace.BatchSink
-	// TraceCFOnly masks the batched port to control-flow events: no
+	// TraceCFOnly masks the port to control-flow events: no
 	// event is even built for any other retirement. Only exact for
 	// observers that do not key internal state to non-control-flow
 	// retirements (see core.Device.CFOnlyCompatible).
@@ -172,7 +165,7 @@ type CPU struct {
 // New returns a CPU over the given memory with the default cost model.
 // The stack pointer must be set by the caller (or via Reset).
 func New(m *mem.Memory) *CPU {
-	return &CPU{Mem: m, Costs: DefaultCostModel}
+	return &CPU{Mem: m, Costs: DefaultCostModel, batch: make([]trace.Event, 0, TraceBatchSize)}
 }
 
 // Reset prepares the core to run from entry with the given stack top.
@@ -594,30 +587,19 @@ func (c *CPU) exec(pc uint32, p *predecoded) error {
 }
 
 // takes is the one rule for whether an event of kind k is built at all:
-// only if a wired port will deliver it (the batched one applies the mask).
+// only if the port is wired and its mask admits k.
 //
 //lofat:zeroalloc
 func (c *CPU) takes(k isa.ControlFlowKind) bool {
-	if c.TraceBatch != nil {
-		return !c.TraceCFOnly || k != isa.KindNone
-	}
-	return c.Trace != nil
+	return c.TraceBatch != nil && (!c.TraceCFOnly || k != isa.KindNone)
 }
 
-// emit delivers an event takes admitted on whichever port is wired.
-// Shared by the instruction hot loop and takeIRQ so both ports see
-// identical events in identical order.
+// emit buffers an event takes admitted, delivering a full batch. Shared
+// by the instruction hot loop and takeIRQ so instruction and interrupt
+// events reach the port in retirement order.
 //
 //lofat:zeroalloc
 func (c *CPU) emit(e trace.Event) {
-	if c.TraceBatch == nil {
-		c.Trace.Retire(e)
-		return
-	}
-	if c.batch == nil {
-		//lofat:ignore zeroalloc one-time lazy batch buffer; reused (and Reset-retained) afterwards
-		c.batch = make([]trace.Event, 0, TraceBatchSize)
-	}
 	c.batch = append(c.batch, e)
 	if len(c.batch) >= TraceBatchSize {
 		c.flushBatch()

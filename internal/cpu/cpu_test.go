@@ -247,11 +247,12 @@ func TestTraceEvents(t *testing.T) {
 	f:
 		ret
 	`)
-	var events []trace.Event
-	m.CPU.Trace = trace.SinkFunc(func(e trace.Event) { events = append(events, e) })
+	rec := &batchRecorder{}
+	m.CPU.TraceBatch = rec
 	if err := m.CPU.Run(10_000); err != nil {
 		t.Fatal(err)
 	}
+	events := rec.events
 
 	var kinds []isa.ControlFlowKind
 	for _, e := range events {

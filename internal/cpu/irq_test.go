@@ -61,9 +61,17 @@ func TestIRQDispatchAndReturn(t *testing.T) {
 	mach, vector := loadIRQProg(t)
 	mach.CPU.IRQ = IRQSchedule{Vector: vector, Phase: 10, Period: 40, Count: 3}
 
+	rec := &batchRecorder{}
+	mach.CPU.TraceBatch = rec
+	if err := mach.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mach.CPU.Run(10000); err != nil {
+		t.Fatal(err)
+	}
 	var enters, rets int
 	var pendingEPC uint32
-	mach.CPU.Trace = trace.SinkFunc(func(e trace.Event) {
+	for _, e := range rec.events {
 		switch e.Kind {
 		case isa.KindIRQEnter:
 			enters++
@@ -83,12 +91,6 @@ func TestIRQDispatchAndReturn(t *testing.T) {
 				t.Errorf("mret resumed at %#x, want interrupted PC %#x", e.NextPC, pendingEPC)
 			}
 		}
-	})
-	if err := mach.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mach.CPU.Run(10000); err != nil {
-		t.Fatal(err)
 	}
 	if enters != 3 || rets != 3 {
 		t.Fatalf("enters=%d rets=%d, want 3/3 (Count=3)", enters, rets)
@@ -110,8 +112,8 @@ func TestIRQDispatchAndReturn(t *testing.T) {
 func TestIRQScheduleReplaysIdentically(t *testing.T) {
 	mach, vector := loadIRQProg(t)
 	capture := func() []trace.Event {
-		var evs []trace.Event
-		mach.CPU.Trace = trace.SinkFunc(func(e trace.Event) { evs = append(evs, e) })
+		rec := &batchRecorder{}
+		mach.CPU.TraceBatch = rec
 		mach.CPU.IRQ = IRQSchedule{Vector: vector, Phase: 7, Period: 23}
 		if err := mach.Reset(); err != nil {
 			t.Fatal(err)
@@ -119,7 +121,7 @@ func TestIRQScheduleReplaysIdentically(t *testing.T) {
 		if err := mach.CPU.Run(10000); err != nil {
 			t.Fatal(err)
 		}
-		return evs
+		return rec.events
 	}
 	a, b := capture(), capture()
 	if len(a) != len(b) {
@@ -179,8 +181,8 @@ func TestMRETOutsideHandlerFaults(t *testing.T) {
 // CPU.IRQsTaken as well.
 func TestIRQHotPathZeroAlloc(t *testing.T) {
 	mach, vector := loadIRQProg(t)
-	var events uint64
-	mach.CPU.Trace = trace.SinkFunc(func(trace.Event) { events++ })
+	events := &countBatch{}
+	mach.CPU.TraceBatch = events
 	mach.CPU.IRQ = IRQSchedule{Vector: vector, Phase: 3, Period: 17}
 	run := func() {
 		if err := mach.Reset(); err != nil {
@@ -198,8 +200,8 @@ func TestIRQHotPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(50, run); n != 0 {
 		t.Fatalf("interrupt hot path allocates %v per run, want 0", n)
 	}
-	if events == 0 {
-		t.Fatal("trace sink never saw an event")
+	if events.n == 0 {
+		t.Fatal("trace port never saw an event")
 	}
 }
 

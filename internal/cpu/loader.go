@@ -157,7 +157,6 @@ func ReleaseMachine(m *Machine) {
 	if m == nil || !m.pooled {
 		return
 	}
-	m.CPU.Trace = nil
 	m.CPU.TraceBatch = nil
 	m.CPU.TraceCFOnly = false
 	m.CPU.Input = nil

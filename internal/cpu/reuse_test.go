@@ -65,7 +65,7 @@ func TestAcquireMachineReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1.CPU.Trace = trace.SinkFunc(func(trace.Event) {})
+	m1.CPU.TraceBatch, m1.CPU.TraceCFOnly = &batchRecorder{}, true
 	if err := m1.CPU.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAcquireMachineReuses(t *testing.T) {
 	if m2 != m1 {
 		t.Skip("pool did not retain the machine (GC ran); nothing to verify")
 	}
-	if m2.CPU.Trace != nil || m2.CPU.TraceBatch != nil || m2.CPU.Input != nil {
+	if m2.CPU.TraceBatch != nil || m2.CPU.TraceCFOnly || m2.CPU.Input != nil {
 		t.Fatal("pooled machine retained trace/input attachments")
 	}
 	if m2.CPU.Halted || m2.CPU.Retired != 0 || m2.CPU.PC != m2.Entry {
@@ -138,14 +138,16 @@ isr:
 	mret
 `
 
-// TestBatchTraceMatchesSink proves the trace-port contract. The batched
-// port delivers the identical event sequence as the per-event reference
-// port, the control-flow-only mask drops exactly the KindNone events,
-// Sync reaches the final cycle although the exit ecall is masked, and a
-// core with no port wired retires identically. It covers an
-// interrupt-free program and one under an IRQ schedule (takeIRQ's
-// KindIRQEnter and mret's KindIRQRet on the trace), each driven by Run
-// and by the streamed prover's Step + FlushTrace loop.
+// TestBatchTraceMatchesSink proves the trace-port contract against the
+// per-event reference: the port unmasked and drained by FlushTrace after
+// every Step, which hands over each instruction's event before the next
+// one retires. Run's batches deliver the identical event sequence, the
+// control-flow-only mask drops exactly the KindNone events, Sync reaches
+// the final cycle although the exit ecall is masked, and a core with no
+// port wired retires identically. It covers an interrupt-free program
+// and one under an IRQ schedule (takeIRQ's KindIRQEnter and mret's
+// KindIRQRet on the trace), each driven by Run and by the streamed
+// prover's Step + FlushTrace loop.
 func TestBatchTraceMatchesSink(t *testing.T) {
 	progs := []struct {
 		name, src string
@@ -167,70 +169,78 @@ func TestBatchTraceMatchesSink(t *testing.T) {
 			}
 			sched = IRQSchedule{Vector: vector, Phase: 5, Period: 37}
 		}
-		var runRef []trace.Event
+		// run drives a freshly loaded core to halt, by Run or by Step +
+		// FlushTrace. Stepped, a recorder on the port must be current
+		// after every step: synced to the core clock and, unmasked,
+		// holding the event of the instruction that just retired.
+		run := func(t *testing.T, stepped bool, wire func(*CPU)) *CPU {
+			mach, err := Load(p, LoadOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := mach.CPU
+			c.IRQ = sched
+			wire(c)
+			if !stepped {
+				if err := c.Run(10000); err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			rec, _ := c.TraceBatch.(*batchRecorder)
+			for !c.Halted {
+				if c.Retired >= 10000 {
+					t.Fatal("instruction budget exhausted")
+				}
+				if err := c.Step(); err != nil {
+					t.Fatal(err)
+				}
+				c.FlushTrace()
+				if rec == nil {
+					continue
+				}
+				if rec.synced != c.Cycle {
+					t.Fatalf("after step %d: synced to cycle %d, core at %d", c.Retired, rec.synced, c.Cycle)
+				}
+				if n := len(rec.events); !c.TraceCFOnly &&
+					(n == 0 || rec.events[n-1].Cycle != c.Cycle || rec.events[n-1].NextPC != c.PC) {
+					t.Fatalf("after step %d: the retired instruction's event was not delivered", c.Retired)
+				}
+			}
+			return c
+		}
+
+		ref := &batchRecorder{}
+		refCPU := run(t, true, func(c *CPU) { c.TraceBatch = ref })
+		if len(ref.events) == 0 || ref.events[len(ref.events)-1].Kind != isa.KindNone {
+			t.Fatal("trace does not end in a masked exit ecall; nothing to test")
+		}
+		kinds := make(map[isa.ControlFlowKind]int)
+		for _, e := range ref.events {
+			kinds[e.Kind]++
+		}
+		if pr.irq && (kinds[isa.KindIRQEnter] == 0 || kinds[isa.KindIRQRet] == 0) {
+			t.Fatalf("schedule produced no IRQ enter/return events: %v", kinds)
+		}
+		var wantMasked []trace.Event
+		for _, e := range ref.events {
+			if e.Kind != isa.KindNone {
+				wantMasked = append(wantMasked, e)
+			}
+		}
+
 		for _, stepped := range []bool{false, true} {
 			name := pr.name + "/run"
 			if stepped {
 				name = pr.name + "/step"
 			}
 			t.Run(name, func(t *testing.T) {
-				run := func(wire func(*CPU)) *CPU {
-					mach, err := Load(p, LoadOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					mach.CPU.IRQ = sched
-					wire(mach.CPU)
-					if !stepped {
-						if err := mach.CPU.Run(10000); err != nil {
-							t.Fatal(err)
-						}
-						return mach.CPU
-					}
-					for !mach.CPU.Halted {
-						if mach.CPU.Retired >= 10000 {
-							t.Fatal("instruction budget exhausted")
-						}
-						if err := mach.CPU.Step(); err != nil {
-							t.Fatal(err)
-						}
-						mach.CPU.FlushTrace()
-					}
-					return mach.CPU
-				}
-
-				var ref []trace.Event
-				refCPU := run(func(c *CPU) {
-					c.Trace = trace.SinkFunc(func(e trace.Event) { ref = append(ref, e) })
-				})
 				full, masked := &batchRecorder{}, &batchRecorder{}
-				fullCPU := run(func(c *CPU) { c.TraceBatch = full })
-				maskedCPU := run(func(c *CPU) { c.TraceBatch, c.TraceCFOnly = masked, true })
-				bareCPU := run(func(*CPU) {})
+				fullCPU := run(t, stepped, func(c *CPU) { c.TraceBatch = full })
+				maskedCPU := run(t, stepped, func(c *CPU) { c.TraceBatch, c.TraceCFOnly = masked, true })
+				bareCPU := run(t, stepped, func(*CPU) {})
 
-				if len(ref) == 0 || ref[len(ref)-1].Kind != isa.KindNone {
-					t.Fatal("trace does not end in a masked exit ecall; nothing to test")
-				}
-				kinds := make(map[isa.ControlFlowKind]int)
-				for _, e := range ref {
-					kinds[e.Kind]++
-				}
-				if pr.irq && (kinds[isa.KindIRQEnter] == 0 || kinds[isa.KindIRQRet] == 0) {
-					t.Fatalf("schedule produced no IRQ enter/return events: %v", kinds)
-				}
-				if runRef == nil {
-					runRef = ref
-				} else {
-					eventsEqual(t, "stepped reference vs Run reference", ref, runRef)
-				}
-
-				eventsEqual(t, "batched", full.events, ref)
-				var wantMasked []trace.Event
-				for _, e := range ref {
-					if e.Kind != isa.KindNone {
-						wantMasked = append(wantMasked, e)
-					}
-				}
+				eventsEqual(t, "batched", full.events, ref.events)
 				eventsEqual(t, "masked", masked.events, wantMasked)
 
 				for _, r := range []struct {
@@ -247,7 +257,7 @@ func TestBatchTraceMatchesSink(t *testing.T) {
 					c    *CPU
 				}{{"batched", fullCPU}, {"masked", maskedCPU}, {"no port", bareCPU}} {
 					if !sameRetirement(c.c, refCPU) {
-						t.Errorf("%s: retired differently from the reference port: pc=%#x cycle=%d retired=%d exit=%d output=%q, want pc=%#x cycle=%d retired=%d exit=%d output=%q",
+						t.Errorf("%s: retired differently from the reference: pc=%#x cycle=%d retired=%d exit=%d output=%q, want pc=%#x cycle=%d retired=%d exit=%d output=%q",
 							c.name, c.c.PC, c.c.Cycle, c.c.Retired, c.c.ExitCode, c.c.Output,
 							refCPU.PC, refCPU.Cycle, refCPU.Retired, refCPU.ExitCode, refCPU.Output)
 					}
@@ -275,28 +285,6 @@ func eventsEqual(t *testing.T, what string, got, want []trace.Event) {
 func sameRetirement(a, b *CPU) bool {
 	return a.Regs == b.Regs && a.PC == b.PC && a.Cycle == b.Cycle && a.Retired == b.Retired &&
 		a.ExitCode == b.ExitCode && a.IRQsTaken() == b.IRQsTaken() && bytes.Equal(a.Output, b.Output)
-}
-
-// TestBatchTraceSyncAtHalt verifies the observer clock is synced to the
-// final core cycle even when the mask withholds the trailing events.
-func TestBatchTraceSyncAtHalt(t *testing.T) {
-	p, err := asm.Assemble(reuseProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach, err := Load(p, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &batchRecorder{}
-	mach.CPU.TraceBatch = r
-	mach.CPU.TraceCFOnly = true
-	if err := mach.CPU.Run(1000); err != nil {
-		t.Fatal(err)
-	}
-	if r.synced != mach.CPU.Cycle {
-		t.Fatalf("synced to cycle %d, core at %d", r.synced, mach.CPU.Cycle)
-	}
 }
 
 // TestPredecodeFallback executes from a PC outside the instruction cache

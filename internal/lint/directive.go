@@ -278,8 +278,8 @@ func (d *Directives) parseGenDecl(fset *token.FileSet, decl *ast.GenDecl) {
 }
 
 // ZeroAllocFuncs returns the FuncKey of every function in the package
-// marked //lofat:zeroalloc, sorted by position. The runtime drift test
-// uses this to couple annotations to AllocsPerRun proofs.
+// marked //lofat:zeroalloc, sorted by name: the suite's cross-package
+// index, and what the drift test couples to AllocsPerRun proofs.
 func (d *Directives) ZeroAllocFuncs() []string {
 	var out []string
 	for fn, dirs := range d.Funcs {

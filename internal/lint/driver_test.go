@@ -182,3 +182,72 @@ func Leak(c net.Conn, b []byte) {
 		t.Fatalf("diagnostics %v, want %v", got, want)
 	}
 }
+
+// TestSubsetPatternIndexesDeps loads a synthetic two-package module with
+// a pattern naming only the package that calls into the other. The
+// callee's //lofat:zeroalloc annotations must still be indexed, so the
+// subset run reports exactly what a ./... run reports for that package:
+// the unannotated call is a diagnostic and the ignore on the other one
+// is used, not stale.
+func TestSubsetPatternIndexesDeps(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module synthetic.example/subset\n\ngo 1.24\n")
+	write("dep/dep.go", `package dep
+
+//lofat:zeroalloc
+func Fast() int { return 1 }
+
+func Slow() []int { return make([]int, 1) }
+`)
+	write("hot/hot.go", `package hot
+
+import "synthetic.example/subset/dep"
+
+//lofat:zeroalloc
+func Hot() int {
+	//lofat:ignore zeroalloc a deliberate call into an unannotated function
+	dep.Slow()
+	return dep.Fast()
+}
+
+//lofat:zeroalloc
+func Cold() []int {
+	return dep.Slow()
+}
+`)
+	run := func(pattern string) (diags, sups []string) {
+		t.Helper()
+		suite, err := Load(dir, pattern)
+		if err != nil {
+			t.Fatalf("Load %s: %v", pattern, err)
+		}
+		res := suite.Run()
+		for _, d := range res.Diagnostics {
+			if filepath.Base(filepath.Dir(d.File)) == "hot" {
+				diags = append(diags, fmt.Sprintf("%s@%d", d.Analyzer, d.Line))
+			}
+		}
+		for _, s := range res.Suppressions {
+			if filepath.Base(filepath.Dir(s.File)) == "hot" {
+				sups = append(sups, fmt.Sprintf("%s@%d", s.Analyzer, s.Line))
+			}
+		}
+		return diags, sups
+	}
+	wantDiags, wantSups := "zeroalloc@14", "zeroalloc@7"
+	for _, pattern := range []string{"./...", "./hot"} {
+		diags, sups := run(pattern)
+		if strings.Join(diags, " ") != wantDiags || strings.Join(sups, " ") != wantSups {
+			t.Errorf("%s: diagnostics %v, suppressions %v; want [%s], [%s]", pattern, diags, sups, wantDiags, wantSups)
+		}
+	}
+}

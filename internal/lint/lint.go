@@ -89,9 +89,13 @@ type Suite struct {
 	Packages  []*Package
 	Analyzers []*Analyzer
 
+	// deps are the non-standard packages the targets import but the
+	// patterns did not match, loaded for their Path and Directives only.
+	deps []*Package
+
 	// zeroalloc holds the FuncKey of every annotated function, keyed by
-	// package path, so the zeroalloc analyzer can allow calls into other
-	// annotated functions across package boundaries.
+	// package path (targets and deps), so the zeroalloc analyzer can allow
+	// calls into other annotated functions across package boundaries.
 	zeroalloc map[string]map[string]bool
 }
 
@@ -124,25 +128,17 @@ var analyzerNames = map[string]bool{
 
 func knownAnalyzer(name string) bool { return analyzerNames[name] }
 
-// ZeroAllocAnnotated reports whether the function key in the given
-// package carries a //lofat:zeroalloc directive anywhere in the suite.
-func (s *Suite) ZeroAllocAnnotated(pkgPath, funcKey string) bool {
-	return s.zeroalloc[pkgPath][funcKey]
-}
-
 // index builds the cross-package directive indexes analyzers consult.
 func (s *Suite) index() {
 	s.zeroalloc = make(map[string]map[string]bool)
-	for _, p := range s.Packages {
+	for _, p := range append(s.deps, s.Packages...) {
 		set := make(map[string]bool)
-		for fn, dirs := range p.Directives.Funcs {
-			for _, fd := range dirs {
-				if fd.Kind == DirZeroAlloc {
-					set[FuncKey(fn)] = true
-				}
-			}
+		for _, key := range p.Directives.ZeroAllocFuncs() {
+			set[key] = true
 		}
 		s.zeroalloc[p.Path] = set
+	}
+	for _, p := range s.Packages {
 		p.suite = s
 	}
 }

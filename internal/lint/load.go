@@ -31,8 +31,9 @@ type listPackage struct {
 
 // Load lists, parses, and type-checks the packages matched by patterns
 // (e.g. "./...") relative to dir. Dependencies are imported from
-// compiler export data, so only the target packages themselves are
-// parsed from source.
+// compiler export data; a non-standard one outside the patterns is also
+// parsed, for its directives alone, so a subset run indexes the same
+// //lofat:zeroalloc annotations as ./... does.
 func Load(dir string, patterns ...string) (*Suite, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -45,6 +46,7 @@ func Load(dir string, patterns ...string) (*Suite, error) {
 	fset := token.NewFileSet()
 	exports := make(map[string]string) // import path -> export data file
 	var targets []*listPackage
+	suite := &Suite{Analyzers: DefaultAnalyzers()}
 	for _, lp := range pkgs {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
@@ -52,13 +54,19 @@ func Load(dir string, patterns ...string) (*Suite, error) {
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
 		}
-		if !lp.DepOnly {
+		switch {
+		case !lp.DepOnly:
 			targets = append(targets, lp)
+		case !lp.Standard:
+			files, err := parseFiles(fset, lp.Dir, lp.GoFiles)
+			if err != nil {
+				return nil, err
+			}
+			suite.deps = append(suite.deps, &Package{Path: lp.ImportPath, Directives: ParseDirectives(fset, files)})
 		}
 	}
 
 	imp := newExportImporter(fset, exports)
-	suite := &Suite{Analyzers: DefaultAnalyzers()}
 	for _, lp := range targets {
 		p, err := loadPackage(fset, imp, lp)
 		if err != nil {
@@ -67,6 +75,20 @@ func Load(dir string, patterns ...string) (*Suite, error) {
 		suite.Packages = append(suite.Packages, p)
 	}
 	return suite, nil
+}
+
+// parseFiles parses the named files of dir, comments included.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %v", path, err)
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // goList shells out to the go tool. -export makes the toolchain write
@@ -130,23 +152,11 @@ func (e *exportImporter) Import(path string) (*types.Package, error) {
 }
 
 func loadPackage(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Package, error) {
-	parse := func(names []string) ([]*ast.File, error) {
-		var files []*ast.File
-		for _, name := range names {
-			path := filepath.Join(lp.Dir, name)
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("parsing %s: %v", path, err)
-			}
-			files = append(files, f)
-		}
-		return files, nil
-	}
-	files, err := parse(lp.GoFiles)
+	files, err := parseFiles(fset, lp.Dir, lp.GoFiles)
 	if err != nil {
 		return nil, err
 	}
-	testFiles, err := parse(append(append([]string(nil), lp.TestGoFiles...), lp.XTestGoFiles...))
+	testFiles, err := parseFiles(fset, lp.Dir, append(append([]string(nil), lp.TestGoFiles...), lp.XTestGoFiles...))
 	if err != nil {
 		return nil, err
 	}

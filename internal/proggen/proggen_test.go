@@ -51,7 +51,7 @@ func TestGeneratedProgramsTerminateDeterministically(t *testing.T) {
 				t.Fatal(err)
 			}
 			dev := core.NewDevice(core.Config{})
-			mach.CPU.Trace = dev
+			mach.CPU.TraceBatch = dev
 			if err := mach.CPU.Run(3_000_000); err != nil {
 				t.Fatalf("seed %d: %v\n%s", seed, err, src)
 			}
@@ -77,7 +77,7 @@ func TestExecutedEdgesAreCFGValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		bad := 0
-		mach.CPU.Trace = trace.SinkFunc(func(e trace.Event) {
+		mach.CPU.TraceBatch = edgeCheck(func(e trace.Event) {
 			if e.Kind == isa.KindNone {
 				return
 			}
@@ -96,6 +96,16 @@ func TestExecutedEdgesAreCFGValid(t *testing.T) {
 		}
 	}
 }
+
+// edgeCheck is a trace port that hands every delivered event to a check.
+type edgeCheck func(trace.Event)
+
+func (f edgeCheck) RetireBatch(events []trace.Event) {
+	for _, e := range events {
+		f(e)
+	}
+}
+func (edgeCheck) Sync(uint64) {}
 
 // Property: conservation — every control-flow event is either hashed or
 // deduplicated; the device never loses an edge; no stalls; no drops.

@@ -78,7 +78,7 @@ func (e *Emitter) seal() {
 	}
 }
 
-// RetireBatch implements trace.BatchSink, the core's fast trace port:
+// RetireBatch implements trace.BatchSink, the core's trace port:
 // the batch goes to the wrapped device unchanged, and every measured
 // control-flow event in it adds an edge to the current window.
 func (e *Emitter) RetireBatch(events []trace.Event) {

@@ -5,30 +5,54 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"lofat/internal/hashengine"
 	"lofat/internal/stream"
 	"lofat/internal/workloads"
 )
 
-// Decoders must never panic on arbitrary bytes (they face the network)
-// — the streamed analogue of internal/attest's codec fuzzing.
-func TestDecodeStreamMessagesNeverPanic(t *testing.T) {
-	f := func(b []byte) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("stream decoder panicked on %d bytes: %v", len(b), r)
-			}
-		}()
-		_, _ = stream.DecodeOpen(b)
-		_, _ = stream.DecodeSegment(b)
-		_, _ = stream.DecodeClose(b)
-		return true
+// FuzzStreamDecode feeds the same bytes to the three decoders that face
+// the network, Open, Segment and Close — the streamed analogue of
+// internal/attest's FuzzDecodeReport. None may panic, and whatever one
+// accepts must re-encode to exactly those bytes. The seeds are each
+// workload's open request, first and last segment and close report from
+// a real streamed round, plus the empty input.
+func FuzzStreamDecode(f *testing.F) {
+	for _, w := range workloads.All() {
+		p, v := rig(f, w, 16)
+		s, open, err := v.Open(w.Input)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var segs [][]byte
+		cr, err := p.Stream(*open, func(sr *stream.SegmentReport) error {
+			segs = append(segs, stream.EncodeSegment(sr))
+			return nil
+		})
+		s.Abort()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(stream.EncodeOpen(open))
+		if len(segs) > 0 {
+			f.Add(segs[0])
+			f.Add(segs[len(segs)-1])
+		}
+		f.Add(stream.EncodeClose(cr))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if o, err := stream.DecodeOpen(b); err == nil && !bytes.Equal(stream.EncodeOpen(o), b) {
+			t.Fatalf("accepted open request re-encodes differently: %x", b)
+		}
+		if sr, err := stream.DecodeSegment(b); err == nil && !bytes.Equal(stream.EncodeSegment(sr), b) {
+			t.Fatalf("accepted segment re-encodes differently: %x", b)
+		}
+		if cr, err := stream.DecodeClose(b); err == nil && !bytes.Equal(stream.EncodeClose(cr), b) {
+			t.Fatalf("accepted close report re-encodes differently: %x", b)
+		}
+	})
 }
 
 // Randomly generated segment reports must round-trip exactly through

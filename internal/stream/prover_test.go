@@ -21,12 +21,13 @@ import (
 // A failed emit stops the device within one instruction. The prover runs
 // on the pooled, batched trace port; what keeps the abort that prompt is
 // the flush before every poll, so this pins it against the per-event
-// reference port: the adversary hook (invoked before every instruction)
-// has run exactly as often as instructions had retired when the failing
-// window's last edge did, and never again; the segments handed to emit
-// are the reference segmentation; and the machine and device the aborted
-// run put back in their pools measure the next runs correctly. The Region
-// case runs the port unmasked (CFOnlyCompatible is false).
+// reference, the unmasked port drained after every Step: the adversary
+// hook (invoked before every instruction) has run exactly as often as
+// instructions had retired when the failing window's last edge did, and
+// never again; the segments handed to emit are the reference
+// segmentation; and the machine and device the aborted run put back in
+// their pools measure the next runs correctly. The Region case runs the
+// prover's port unmasked (CFOnlyCompatible is false).
 func TestStreamAbortsWithinOneInstruction(t *testing.T) {
 	const failAt = 1 // index of the segment whose emit fails
 	w := workloads.SyringePump()
@@ -44,7 +45,7 @@ func TestStreamAbortsWithinOneInstruction(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Reference: a fresh machine and device on the per-event port.
+			// Reference: a fresh machine and device, drained per step.
 			mach, err := cpu.Load(prog, cpu.LoadOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -52,17 +53,22 @@ func TestStreamAbortsWithinOneInstruction(t *testing.T) {
 			dev := core.NewDevice(tc.cfg)
 			var edges []hashengine.Pair
 			var retiredAt []uint64 // instructions retired once edges[i] had
-			mach.CPU.Trace = trace.SinkFunc(func(e trace.Event) {
-				dev.Retire(e)
+			mach.CPU.TraceBatch = devTap{dev, func(e trace.Event) {
 				if e.Kind != isa.KindNone && tc.cfg.Region.Contains(e.PC) {
 					src, dest := e.SrcDest()
 					edges = append(edges, hashengine.Pair{Src: src, Dest: dest})
 					retiredAt = append(retiredAt, mach.CPU.Retired)
 				}
-			})
+			}}
 			mach.CPU.Input = w.Input
-			if err := mach.CPU.Run(1_000_000); err != nil {
-				t.Fatal(err)
+			for !mach.CPU.Halted {
+				if mach.CPU.Retired >= 1_000_000 {
+					t.Fatal("instruction budget exhausted")
+				}
+				if err := mach.CPU.Step(); err != nil {
+					t.Fatal(err)
+				}
+				mach.CPU.FlushTrace()
 			}
 			ref := dev.Finalize()
 			want := stream.ChunkEdges(edges, tc.window)
@@ -130,6 +136,18 @@ func TestStreamAbortsWithinOneInstruction(t *testing.T) {
 			}
 		})
 	}
+}
+
+// devTap is a trace port that feeds a device and hands every event it
+// delivers to fn as well.
+type devTap struct {
+	*core.Device
+	fn tap
+}
+
+func (d devTap) RetireBatch(events []trace.Event) {
+	d.Device.RetireBatch(events)
+	d.fn.RetireBatch(events)
 }
 
 // TestStreamAllocBudget is TestMeasureAllocBudget's twin for a streamed

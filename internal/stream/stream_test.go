@@ -80,7 +80,7 @@ func collectEdges(t testing.TB, w workloads.Workload, adv attest.Adversary) []ha
 		t.Fatal(err)
 	}
 	var edges []hashengine.Pair
-	mach.CPU.Trace = trace.SinkFunc(func(e trace.Event) {
+	mach.CPU.TraceBatch = tap(func(e trace.Event) {
 		if e.Kind != isa.KindNone {
 			src, dest := e.SrcDest()
 			edges = append(edges, hashengine.Pair{Src: src, Dest: dest})
@@ -99,6 +99,16 @@ func collectEdges(t testing.TB, w workloads.Workload, adv attest.Adversary) []ha
 	}
 	return edges
 }
+
+// tap is a test's trace port: it hands every delivered event to fn.
+type tap func(trace.Event)
+
+func (fn tap) RetireBatch(events []trace.Event) {
+	for _, e := range events {
+		fn(e)
+	}
+}
+func (tap) Sync(uint64) {}
 
 // Honest streamed runs are accepted for every workload, and streaming
 // does not perturb the device measurement: the close report's (A, L)

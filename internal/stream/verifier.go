@@ -34,9 +34,6 @@ func NewVerifier(av *attest.Verifier, cfg Config) *Verifier {
 // Inner exposes the wrapped attest verifier.
 func (v *Verifier) Inner() *attest.Verifier { return v.av }
 
-// SegmentEvents reports the checkpoint window sessions are opened with.
-func (v *Verifier) SegmentEvents() int { return v.cfg.SegmentEvents }
-
 // expectedStream returns (computing and caching on first use) the
 // golden streamed measurement for an input: per-segment checkpoint
 // states plus the usual (A, L).
@@ -107,9 +104,6 @@ func (v *Verifier) Open(input []uint32) (*Session, *OpenRequest, error) {
 	}
 	return s, open, nil
 }
-
-// Challenge exposes the session's challenge (program, nonce, input).
-func (s *Session) Challenge() attest.Challenge { return s.ch }
 
 // ExpectedSegments reports how many segments the golden run produced.
 func (s *Session) ExpectedSegments() int { return len(s.exp.Segments) }

@@ -3,7 +3,8 @@
 // Figure 3: "the branch filter ... extracts the current program counter
 // and instruction executed per clock cycle". LO-FAT's branch filter, the
 // C-FLAT baseline's instrumentation shim, and test harnesses all consume
-// the same stream, which is what makes the comparison between them fair.
+// the same stream through one port (BatchSink), which is what makes the
+// comparison between them fair.
 package trace
 
 import "lofat/internal/isa"
@@ -54,20 +55,7 @@ func (e Event) IsInterrupt() bool {
 	return e.Kind == isa.KindIRQEnter || e.Kind == isa.KindIRQRet
 }
 
-// Sink consumes retired-instruction events one at a time: the reference
-// trace port, which tests compare the batched port (BatchSink) against.
-// Implementations must not retain the event past the call.
-type Sink interface {
-	Retire(Event)
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Retire implements Sink.
-func (f SinkFunc) Retire(e Event) { f(e) }
-
-// BatchSink consumes retired-instruction events in batches: the fast
+// BatchSink consumes retired-instruction events in batches: the core's
 // trace port. The core buffers events and delivers them in program
 // order once per batch instead of crossing an interface per retirement;
 // a consumer that also cares about wall-clock alignment (the LO-FAT

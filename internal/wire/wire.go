@@ -98,7 +98,14 @@ func (r *Reader) U64() uint64 {
 	return 0
 }
 
-func (r *Reader) Bool() bool { return r.U8() == 1 }
+// Bool reads a 0 or 1 byte; any other would be a second encoding of true.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.Fail("bool")
+	}
+	return v == 1
+}
 
 // Bytes reads a length-prefixed byte string into a fresh slice.
 func (r *Reader) Bytes() []byte {

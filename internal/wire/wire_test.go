@@ -76,6 +76,7 @@ func TestShortReads(t *testing.T) {
 		{"negative raw", []byte{1, 2}, func(r *Reader) { r.Raw(-1, "digest") }, "p: decode: truncated digest at offset 0"},
 		{"first error sticks", []byte{1}, func(r *Reader) { r.U32(); r.U8(); r.Fail("count") }, "p: decode: truncated u32 at offset 0"},
 		{"fail", []byte{1}, func(r *Reader) { r.U8(); r.Fail("count") }, "p: decode: truncated count at offset 1"},
+		{"bool above 1", []byte{2}, func(r *Reader) { r.Bool() }, "p: decode: truncated bool at offset 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,7 +11,9 @@ import (
 )
 
 // runSlow measures a program through the seed slow path: no instruction
-// cache (fetch+decode per step) and per-event trace.Sink delivery.
+// cache (fetch+decode per step) and per-event delivery: the trace port
+// unmasked and drained to the device after the step that retired each
+// event.
 func runSlow(t *testing.T, w workloads.Workload, devCfg core.Config, adv attest.Adversary) (core.Measurement, uint32) {
 	t.Helper()
 	prog, err := w.Assemble()
@@ -24,12 +26,12 @@ func runSlow(t *testing.T, w workloads.Workload, devCfg core.Config, adv attest.
 	}
 	mach.CPU.ClearPredecode()
 	dev := core.NewDevice(devCfg)
-	mach.CPU.Trace = dev
+	mach.CPU.TraceBatch = dev
 	mach.CPU.Input = w.Input
 	if mach.CPU.IRQ, err = w.Schedule(prog); err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
-	stepAll(t, w.Name, mach, adv)
+	stepAll(t, w.Name, mach, adv, true)
 	return dev.Finalize(), mach.CPU.ExitCode
 }
 
@@ -53,11 +55,13 @@ func runFast(t *testing.T, w workloads.Workload, devCfg core.Config, adv attest.
 	if mach.CPU.IRQ, err = w.Schedule(prog); err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
-	stepAll(t, w.Name, mach, adv)
+	stepAll(t, w.Name, mach, adv, false)
 	return dev.Finalize(), mach.CPU.ExitCode
 }
 
-func stepAll(t *testing.T, name string, mach *cpu.Machine, adv attest.Adversary) {
+// stepAll steps mach to halt, running adv before every instruction and,
+// when perStep is set, flushing the trace port after every instruction.
+func stepAll(t *testing.T, name string, mach *cpu.Machine, adv attest.Adversary, perStep bool) {
 	t.Helper()
 	const budget = 50_000_000
 	for !mach.CPU.Halted {
@@ -71,6 +75,9 @@ func stepAll(t *testing.T, name string, mach *cpu.Machine, adv attest.Adversary)
 		}
 		if err := mach.CPU.Step(); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if perStep {
+			mach.CPU.FlushTrace()
 		}
 	}
 }
