@@ -287,6 +287,28 @@ func sameRetirement(a, b *CPU) bool {
 		a.ExitCode == b.ExitCode && a.IRQsTaken() == b.IRQsTaken() && bytes.Equal(a.Output, b.Output)
 }
 
+// TestBatchTraceSyncAtHalt verifies the observer clock is synced to the
+// final core cycle even when the mask withholds the trailing events.
+func TestBatchTraceSyncAtHalt(t *testing.T) {
+	p, err := asm.Assemble(reuseProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach, err := Load(p, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &batchRecorder{}
+	mach.CPU.TraceBatch = r
+	mach.CPU.TraceCFOnly = true
+	if err := mach.CPU.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if r.synced != mach.CPU.Cycle {
+		t.Fatalf("synced to cycle %d, core at %d", r.synced, mach.CPU.Cycle)
+	}
+}
+
 // TestPredecodeFallback executes from a PC outside the instruction cache
 // window (after clearing it mid-flight) to pin the fetch+decode
 // fallback, and checks invalid cached words still error at execution.
