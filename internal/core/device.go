@@ -130,6 +130,7 @@ type Measurement struct {
 // so it can be attached directly to the simulated core's trace port.
 type Device struct {
 	cfg     Config
+	pool    *sync.Pool // the pool AcquireDevice drew it from; nil for NewDevice
 	filter  *filter.Filter
 	monitor *monitor.Monitor
 	engine  *hashengine.Engine
@@ -153,8 +154,30 @@ func NewDevice(cfg Config) *Device {
 	return d
 }
 
-// devicePools maps a (filled) Config to a *sync.Pool of *Device.
-var devicePools sync.Map
+// devicePools maps each (filled) Config to its pool of *Device. The map
+// is typed, so a lookup hashes the Config with compiler-generated code
+// rather than through an interface; entries are only ever added.
+var devicePools = struct {
+	sync.RWMutex
+	m map[Config]*sync.Pool
+}{m: make(map[Config]*sync.Pool)}
+
+// devicePool returns the pool for cfg, creating it on first use.
+func devicePool(cfg Config) *sync.Pool {
+	devicePools.RLock()
+	pool := devicePools.m[cfg]
+	devicePools.RUnlock()
+	if pool != nil {
+		return pool
+	}
+	devicePools.Lock()
+	defer devicePools.Unlock()
+	if pool = devicePools.m[cfg]; pool == nil {
+		pool = &sync.Pool{}
+		devicePools.m[cfg] = pool
+	}
+	return pool
+}
 
 // AcquireDevice returns a reset device for the configuration, reusing a
 // pooled instance (filter stack, monitor frame pool, engine buffers)
@@ -162,28 +185,24 @@ var devicePools sync.Map
 // been finalized and copied out.
 func AcquireDevice(cfg Config) *Device {
 	cfg.fill()
-	v, ok := devicePools.Load(cfg)
-	if !ok {
-		v, _ = devicePools.LoadOrStore(cfg, &sync.Pool{})
-	}
-	pool := v.(*sync.Pool)
+	pool := devicePool(cfg)
 	if d, _ := pool.Get().(*Device); d != nil {
 		d.Reset()
 		return d
 	}
-	return NewDevice(cfg)
+	d := NewDevice(cfg)
+	d.pool = pool
+	return d
 }
 
 // ReleaseDevice returns a device obtained from AcquireDevice to its
 // pool. The device (and any Measurement fields that alias it) must not
 // be used afterwards; Finalize's result is safe — it owns copies.
 func ReleaseDevice(d *Device) {
-	if d == nil {
+	if d == nil || d.pool == nil {
 		return
 	}
-	if v, ok := devicePools.Load(d.cfg); ok {
-		v.(*sync.Pool).Put(d)
-	}
+	d.pool.Put(d)
 }
 
 // absorb forwards a measured pair into the hash engine. The loop

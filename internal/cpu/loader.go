@@ -16,8 +16,7 @@ type Machine struct {
 	Entry    uint32
 	StackTop uint32
 
-	poolKey machineKey
-	pooled  bool
+	pool *sync.Pool // the pool AcquireMachine drew it from; nil if loaded directly
 }
 
 // Reset restores the machine to its just-loaded state: all segments
@@ -119,8 +118,30 @@ type machineKey struct {
 	opts LoadOptions
 }
 
-// machinePools maps machineKey -> *sync.Pool of *Machine.
-var machinePools sync.Map
+// machinePools maps each machineKey to its pool of *Machine. The map is
+// typed, so a lookup hashes the key with compiler-generated code rather
+// than through an interface; entries are only ever added.
+var machinePools = struct {
+	sync.RWMutex
+	m map[machineKey]*sync.Pool
+}{m: make(map[machineKey]*sync.Pool)}
+
+// machinePool returns the pool for key, creating it on first use.
+func machinePool(key machineKey) *sync.Pool {
+	machinePools.RLock()
+	pool := machinePools.m[key]
+	machinePools.RUnlock()
+	if pool != nil {
+		return pool
+	}
+	machinePools.Lock()
+	defer machinePools.Unlock()
+	if pool = machinePools.m[key]; pool == nil {
+		pool = &sync.Pool{}
+		machinePools.m[key] = pool
+	}
+	return pool
+}
 
 // AcquireMachine returns a reset, ready-to-run machine for the program,
 // reusing a pooled instance — memory map, zeroed segments, predecoded
@@ -129,12 +150,7 @@ var machinePools sync.Map
 // per-run map/decode cost entirely. Release with ReleaseMachine.
 func AcquireMachine(p *asm.Program, opts LoadOptions) (*Machine, error) {
 	opts.fill()
-	key := machineKey{prog: p, opts: opts}
-	v, ok := machinePools.Load(key)
-	if !ok {
-		v, _ = machinePools.LoadOrStore(key, &sync.Pool{})
-	}
-	pool := v.(*sync.Pool)
+	pool := machinePool(machineKey{prog: p, opts: opts})
 	if m, _ := pool.Get().(*Machine); m != nil {
 		if err := m.Reset(); err != nil {
 			return nil, err
@@ -145,8 +161,7 @@ func AcquireMachine(p *asm.Program, opts LoadOptions) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.poolKey = key
-	m.pooled = true
+	m.pool = pool
 	return m, nil
 }
 
@@ -154,16 +169,14 @@ func AcquireMachine(p *asm.Program, opts LoadOptions) (*Machine, error) {
 // pool. The machine must not be used afterwards. Trace attachments and
 // input are dropped so the pool retains no caller references.
 func ReleaseMachine(m *Machine) {
-	if m == nil || !m.pooled {
+	if m == nil || m.pool == nil {
 		return
 	}
 	m.CPU.TraceBatch = nil
 	m.CPU.TraceCFOnly = false
 	m.CPU.Input = nil
 	m.CPU.IRQ = IRQSchedule{}
-	if v, ok := machinePools.Load(m.poolKey); ok {
-		v.(*sync.Pool).Put(m)
-	}
+	m.pool.Put(m)
 }
 
 // MustLoadSource assembles and loads source, panicking on error; for

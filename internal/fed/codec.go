@@ -186,13 +186,12 @@ func readDeviceRecord(r *wire.Reader) DeviceRecord {
 	return d
 }
 
-// encodeRecordBody serializes a WAL record body (kind byte + fields).
-func encodeRecordBody(rec WALRecord) []byte {
-	var w wire.Writer
+// encodeRecordBody appends a WAL record body (kind byte + fields) to w.
+func encodeRecordBody(w *wire.Writer, rec WALRecord) {
 	w.U8(rec.Kind)
 	switch rec.Kind {
 	case recUpsert:
-		writeDeviceRecord(&w, rec.Device)
+		writeDeviceRecord(w, rec.Device)
 	case recForget:
 		w.Str(string(rec.ID))
 	case recQuarantine:
@@ -203,7 +202,6 @@ func encodeRecordBody(rec WALRecord) []byte {
 	case recSweepGen:
 		w.U64(rec.Gen)
 	}
-	return w.Buf
 }
 
 // decodeRecordBody parses a WAL record body. Unknown kinds are an

@@ -12,6 +12,7 @@ import (
 
 	"lofat/internal/attest"
 	"lofat/internal/fleet"
+	"lofat/internal/wire"
 )
 
 func testRecord(i int) DeviceRecord {
@@ -38,6 +39,13 @@ func testRecord(i int) DeviceRecord {
 	return rec
 }
 
+// recordBody encodes one WAL record body on its own.
+func recordBody(rec WALRecord) []byte {
+	var w wire.Writer
+	encodeRecordBody(&w, rec)
+	return w.Buf
+}
+
 func TestWALRecordRoundTrip(t *testing.T) {
 	recs := []WALRecord{
 		{Kind: recUpsert, Device: testRecord(3)},
@@ -48,7 +56,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{Kind: recSweepGen, Gen: 42},
 	}
 	for _, rec := range recs {
-		body := encodeRecordBody(rec)
+		body := recordBody(rec)
 		got, err := decodeRecordBody(body)
 		if err != nil {
 			t.Fatalf("kind %d: %v", rec.Kind, err)
@@ -60,7 +68,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 }
 
 func TestWALRecordDecodeRejectsDamage(t *testing.T) {
-	body := encodeRecordBody(WALRecord{Kind: recUpsert, Device: testRecord(1)})
+	body := recordBody(WALRecord{Kind: recUpsert, Device: testRecord(1)})
 	if _, err := decodeRecordBody(body[:len(body)-3]); err == nil {
 		t.Fatal("truncated record body decoded silently")
 	}

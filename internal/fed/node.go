@@ -259,8 +259,8 @@ func (n *Node) Release(id fleet.DeviceID) (bool, error) {
 func (n *Node) sweep(req sweepReq) (fleet.SweepReport, []DeviceRecord, error) {
 	devices := req.Devices
 	if devices == nil {
-		// gob flattens an empty list to nil, and nil means every member
-		// to the fleet: a node acting for nothing must challenge nothing.
+		// An empty list decodes as nil, and nil means every member to
+		// the fleet: a node acting for nothing must challenge nothing.
 		devices = []fleet.DeviceID{}
 	}
 	rep, err := n.svc.RunSweep(fleet.SweepRequest{Program: req.Program, Input: req.Input, Streamed: req.Streamed, Devices: devices})
@@ -271,12 +271,13 @@ func (n *Node) sweep(req sweepReq) (fleet.SweepReport, []DeviceRecord, error) {
 }
 
 // persistDiff computes which device records drifted from the last
-// persisted picture, appends WAL records for them (plus newly warmed
-// cache keys and the advanced sweep generation), and compacts past the
-// configured trigger. The changed records are returned even when the
-// node is ephemeral or its store is failing — replication needs the
-// delta regardless of local durability. Store errors never propagate:
-// they feed the lame-duck counter instead (see storeFailLocked).
+// persisted picture and logs them, with newly warmed cache keys and the
+// advanced sweep generation, as one WAL batch: one write, one fsync,
+// then compaction past the configured trigger. The changed records are
+// returned even when the node is ephemeral or its store is failing —
+// replication needs the delta regardless of local durability. Store
+// errors never propagate: they feed the lame-duck counter instead (see
+// storeFailLocked).
 func (n *Node) persistDiff() []DeviceRecord {
 	states := n.svc.Devices()
 	keys := []string(nil)
@@ -288,67 +289,67 @@ func (n *Node) persistDiff() []DeviceRecord {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var changed []DeviceRecord
-	persistOK := true
 	for _, st := range states {
 		rec := RecordFromState(st)
 		if prev, ok := n.persisted[st.ID]; ok && prev == rec {
 			continue
 		}
 		changed = append(changed, rec)
-		if !persistOK {
-			continue
-		}
-		if err := n.appendLocked(WALRecord{Kind: recUpsert, Device: rec}); err != nil {
-			n.storeFailLocked(err)
-			persistOK = false
-			continue
-		}
-		n.persisted[st.ID] = rec
 	}
 	if n.store == nil || n.lame {
-		// Ephemeral nodes track the reported picture in n.persisted so
-		// deltas stay precise; a lame node stops advancing it (the disk
-		// no longer reflects it) and simply re-reports drift — the
-		// anti-entropy upserts are idempotent.
-		if n.store == nil {
-			for _, rec := range changed {
-				n.persisted[rec.ID] = rec
-			}
+		// Nothing to write: an ephemeral node has no store, and a lame
+		// node's is broken. Both track the reported picture in
+		// n.persisted so the next delta stays precise.
+		for _, rec := range changed {
+			n.persisted[rec.ID] = rec
 		}
 		return changed
 	}
-	if !persistOK {
-		return changed
+	batch := make([]WALRecord, 0, len(changed)+1)
+	for _, rec := range changed {
+		batch = append(batch, WALRecord{Kind: recUpsert, Device: rec})
 	}
+	var newKeys []string
 	for _, k := range keys {
-		if _, ok := n.knownKeys[k]; ok {
-			continue
+		if _, ok := n.knownKeys[k]; !ok {
+			batch = append(batch, WALRecord{Kind: recCacheKey, Key: k})
+			newKeys = append(newKeys, k)
 		}
-		if err := n.appendLocked(WALRecord{Kind: recCacheKey, Key: k}); err != nil {
-			n.storeFailLocked(err)
-			return changed
-		}
-		n.knownKeys[k] = struct{}{}
 	}
 	if gen > n.persistedGen {
-		if err := n.appendLocked(WALRecord{Kind: recSweepGen, Gen: gen}); err != nil {
-			n.storeFailLocked(err)
-			return changed
-		}
-		n.persistedGen = gen
+		batch = append(batch, WALRecord{Kind: recSweepGen, Gen: gen})
 	}
-	if err := n.store.Sync(); err != nil {
-		n.storeFailLocked(fmt.Errorf("fed: node %s: wal sync: %w", n.cfg.ID, err))
+	if err := n.appendLocked(batch...); err != nil {
+		n.storeFailLocked(err)
 		return changed
 	}
-	if n.store.Records() >= n.cfg.SnapshotEvery {
-		if err := n.compactLocked(); err != nil {
-			n.storeFailLocked(err)
-			return changed
-		}
+	for _, rec := range changed {
+		n.persisted[rec.ID] = rec
+	}
+	for _, k := range newKeys {
+		n.knownKeys[k] = struct{}{}
+	}
+	n.persistedGen = max(n.persistedGen, gen)
+	if err := n.flushLocked(); err != nil {
+		n.storeFailLocked(err)
+		return changed
 	}
 	n.storeFails = 0
 	return changed
+}
+
+// flushLocked fsyncs the WAL and compacts it once it holds
+// cfg.SnapshotEvery records. Caller holds n.mu; the store is live.
+//
+//lofat:locked mu
+func (n *Node) flushLocked() error {
+	if err := n.store.Sync(); err != nil {
+		return fmt.Errorf("fed: node %s: wal sync: %w", n.cfg.ID, err)
+	}
+	if n.store.Records() >= n.cfg.SnapshotEvery {
+		return n.compactLocked()
+	}
+	return nil
 }
 
 // storeFailLocked records one failed persistence pass; at the
@@ -375,17 +376,17 @@ func (n *Node) Health() (lame bool, reason string) {
 	return n.lame, n.lameErr
 }
 
-// appendLocked logs one record (no-op when ephemeral or lame — a lame
-// node's store is broken, and retrying every append against a dead
-// disk would only add latency to the degraded service that remains).
-// Caller holds n.mu.
+// appendLocked logs a batch of records as one write (no-op when
+// ephemeral or lame — a lame node's store is broken, and retrying every
+// append against a dead disk would only add latency to the degraded
+// service that remains). Caller holds n.mu.
 //
 //lofat:locked mu
-func (n *Node) appendLocked(rec WALRecord) error {
+func (n *Node) appendLocked(recs ...WALRecord) error {
 	if n.store == nil || n.lame {
 		return nil
 	}
-	if err := n.store.Append(rec); err != nil {
+	if err := n.store.Append(recs...); err != nil {
 		return fmt.Errorf("fed: node %s: %w", n.cfg.ID, err)
 	}
 	return nil
@@ -446,53 +447,76 @@ func (n *Node) Compact() error {
 // overwrite the policy fields of a device the node holds, enrol from
 // the record when the program is registered but the device absent, and
 // park it in the pending set otherwise (adopted when the program
-// arrives, exactly like warm-restart recovery). Applied records are
-// WAL-logged like any other state change.
+// arrives, exactly like warm-restart recovery). The applied records
+// that moved the persisted picture are WAL-logged as one batch.
 func (n *Node) SyncRecords(recs []DeviceRecord) error {
-	for _, rec := range recs {
-		st := rec.State()
-		if !n.svc.SyncState(st) {
-			n.mu.Lock()
-			_, registered := n.programs[rec.Program]
-			n.mu.Unlock()
-			if registered {
-				if err := n.svc.EnrollState(st); err != nil {
-					return fmt.Errorf("fed: node %s: sync device %q: %w", n.cfg.ID, rec.ID, err)
-				}
-			} else {
-				n.mu.Lock()
-				byProg, ok := n.pending[rec.Program]
-				if !ok {
-					byProg = make(map[fleet.DeviceID]DeviceRecord)
-					n.pending[rec.Program] = byProg
-				}
-				byProg[rec.ID] = rec
-				n.mu.Unlock()
-			}
+	applied := recs
+	var err error
+	for i, rec := range recs {
+		if err = n.syncRecord(rec); err != nil {
+			applied = recs[:i]
+			break
 		}
-		n.mu.Lock()
-		if prev, ok := n.persisted[rec.ID]; !ok || prev != rec {
-			if err := n.appendLocked(WALRecord{Kind: recUpsert, Device: rec}); err != nil {
-				n.storeFailLocked(err)
-			} else if n.store == nil || !n.lame {
-				n.persisted[rec.ID] = rec
-			}
-		}
-		n.mu.Unlock()
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.store != nil && !n.lame {
-		if err := n.store.Sync(); err != nil {
-			n.storeFailLocked(fmt.Errorf("fed: node %s: wal sync: %w", n.cfg.ID, err))
-			return nil
+	// moved holds each device's newest record in this batch, so a device
+	// listed twice is compared against its own earlier entry.
+	moved := make(map[fleet.DeviceID]DeviceRecord, len(applied))
+	var batch []WALRecord
+	for _, rec := range applied {
+		prev, ok := moved[rec.ID]
+		if !ok {
+			prev, ok = n.persisted[rec.ID]
 		}
-		if n.store.Records() >= n.cfg.SnapshotEvery {
-			if err := n.compactLocked(); err != nil {
-				n.storeFailLocked(err)
-			}
+		if ok && prev == rec {
+			continue
+		}
+		moved[rec.ID] = rec
+		batch = append(batch, WALRecord{Kind: recUpsert, Device: rec})
+	}
+	if n.lame {
+		return err // the broken store no longer describes the node
+	}
+	if aerr := n.appendLocked(batch...); aerr != nil {
+		n.storeFailLocked(aerr)
+		return err
+	}
+	for id, rec := range moved {
+		n.persisted[id] = rec
+	}
+	if n.store != nil {
+		if ferr := n.flushLocked(); ferr != nil {
+			n.storeFailLocked(ferr)
 		}
 	}
+	return err
+}
+
+// syncRecord applies one pushed record to the fleet service, or parks
+// it until its program is registered.
+func (n *Node) syncRecord(rec DeviceRecord) error {
+	st := rec.State()
+	if n.svc.SyncState(st) {
+		return nil
+	}
+	n.mu.Lock()
+	_, registered := n.programs[rec.Program]
+	n.mu.Unlock()
+	if registered {
+		if err := n.svc.EnrollState(st); err != nil {
+			return fmt.Errorf("fed: node %s: sync device %q: %w", n.cfg.ID, rec.ID, err)
+		}
+		return nil
+	}
+	n.mu.Lock()
+	byProg, ok := n.pending[rec.Program]
+	if !ok {
+		byProg = make(map[fleet.DeviceID]DeviceRecord)
+		n.pending[rec.Program] = byProg
+	}
+	byProg[rec.ID] = rec
+	n.mu.Unlock()
 	return nil
 }
 

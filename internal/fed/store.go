@@ -45,6 +45,7 @@ type Store struct {
 	walLen  int64  // bytes of durable, validated WAL content
 	gen     uint64 // current snapshot/WAL generation
 	records int    // records appended to the current WAL
+	buf     []byte // Append's scratch, reused across batches
 	closed  bool
 }
 
@@ -248,16 +249,27 @@ func replayWAL(r io.Reader, state *State) (prefix int64, records int, err error)
 // kilobyte, so anything near this is damage, not data.
 const walMaxRecord = 1 << 20
 
-// Append durably logs one record.
-func (s *Store) Append(rec WALRecord) error {
+// Append logs a batch of records with one write: each record keeps its
+// own length and CRC, so replay validates them one by one. A write that
+// fails is clawed back whole; a crash mid-write leaves a torn tail, and
+// replay keeps only the batch's complete records — a prefix of it.
+func (s *Store) Append(recs ...WALRecord) error {
 	if s.closed {
 		return fmt.Errorf("fed: store: closed")
 	}
-	body := encodeRecordBody(rec)
-	var w wire.Writer
-	w.U32(uint32(len(body)))
-	w.U32(crc32.Checksum(body, crcTable))
-	w.Buf = append(w.Buf, body...)
+	if len(recs) == 0 {
+		return nil
+	}
+	w := wire.Writer{Buf: s.buf[:0]}
+	for _, rec := range recs {
+		at := len(w.Buf)
+		w.U64(0) // u32 len | u32 crc, filled in once the body is written
+		encodeRecordBody(&w, rec)
+		body := w.Buf[at+recHeaderLen:]
+		binary.LittleEndian.PutUint32(w.Buf[at:], uint32(len(body)))
+		binary.LittleEndian.PutUint32(w.Buf[at+4:], crc32.Checksum(body, crcTable))
+	}
+	s.buf = w.Buf
 	if _, err := s.wal.Write(w.Buf); err != nil {
 		// Claw back whatever partial bytes the failed write left, so a
 		// later successful append never grafts a valid record onto a
@@ -270,7 +282,7 @@ func (s *Store) Append(rec WALRecord) error {
 		return fmt.Errorf("fed: store: wal append: %w", err)
 	}
 	s.walLen += int64(len(w.Buf))
-	s.records++
+	s.records += len(recs)
 	return nil
 }
 

@@ -140,7 +140,7 @@ func TestStoreCompactRenameFailure(t *testing.T) {
 // graft a valid record onto the tear, and replay (which stops at the
 // tear) would silently drop it.
 func TestStoreAppendClawsBackTornWrite(t *testing.T) {
-	recSize := recHeaderLen + len(encodeRecordBody(walRec(0)))
+	recSize := recHeaderLen + len(recordBody(walRec(0)))
 	dir := t.TempDir()
 	// Header and record 0 land whole; the single write crossing the
 	// threshold — record 1 — is cut four bytes in.
@@ -348,5 +348,148 @@ func TestLameDuckNode(t *testing.T) {
 	}
 	if v.NodesOK != 3 || v.NodesLame != 1 || v.Devices != coord.FleetSize() || v.Rejected != 0 {
 		t.Fatalf("lame-duck federation sweep: %s", v)
+	}
+}
+
+// TestStoreTornBatchSweep is the torn-write sweep for batched appends:
+// two three-record batches, the disk filling at every byte position of
+// the write stream. A batch whose Append failed is clawed back whole,
+// so the reopened store holds exactly the acknowledged batches — never
+// part of a batch, never ErrCorrupt.
+func TestStoreTornBatchSweep(t *testing.T) {
+	batches := [][]WALRecord{{walRec(0), walRec(1), walRec(2)}, {walRec(3), walRec(4), walRec(5)}}
+	total := walHeaderLen
+	for _, b := range batches {
+		for _, rec := range b {
+			total += recHeaderLen + len(recordBody(rec))
+		}
+	}
+	for cut := 1; cut <= total; cut++ {
+		dir := filepath.Join(t.TempDir(), "store")
+		inj := faultfs.New(faultfs.OS{}, faultfs.Plan{WriteErrAfter: cut})
+		acked := 0
+		if st, _, err := OpenStoreFS(inj, dir, "n1"); err == nil {
+			for _, b := range batches {
+				if err := st.Append(b...); err != nil {
+					break
+				}
+				acked += len(b)
+			}
+			if st.Records() != acked {
+				t.Fatalf("cut %d: store counts %d records, %d were acknowledged", cut, st.Records(), acked)
+			}
+			st.Abandon()
+		}
+		st2, state, err := OpenStore(dir, "n1")
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if len(state.Devices) != acked {
+			t.Fatalf("cut %d: recovered %d devices, want the %d acknowledged", cut, len(state.Devices), acked)
+		}
+		for i := 0; i < acked; i++ {
+			if _, ok := state.Devices[fleet.DeviceID(fmt.Sprintf("dev-%03d", i))]; !ok {
+				t.Fatalf("cut %d: acknowledged record %d lost", cut, i)
+			}
+		}
+		st2.Close()
+	}
+}
+
+// TestSweepWritesWALOncePerBatch pins the write discipline of a
+// replicated, persistent federation: per node and sweep, the sweep's
+// own diff is one WAL write and one fsync, and the anti-entropy records
+// pushed onto it are one more of each — however many devices moved.
+func TestSweepWritesWALOncePerBatch(t *testing.T) {
+	f := newFabric()
+	coord := NewCoordinator(Config{Replicas: 2})
+	defer coord.Close()
+	injs := make([]*faultfs.Injector, 3)
+	for i := range injs {
+		injs[i] = faultfs.New(faultfs.OS{}, faultfs.Plan{})
+		tn := newTestNode(t, NodeConfig{
+			ID: NodeID(fmt.Sprintf("node-%d", i)), Dir: t.TempDir(), FS: injs[i],
+			Fleet: fleet.Config{Dial: f.dial}, SnapshotEvery: 1 << 20,
+		})
+		defer tn.close()
+		if _, err := coord.Join(tn.node.ID(), tn.dial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pump := workloads.SyringePump()
+	prog, err := pump.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := coord.RegisterProgram(prog, core.Config{}, [][]uint32{pump.Input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, addr := spawnHonestEndpoint(t, f, pump, "honest")
+	const devices = 24
+	for i := 0; i < devices; i++ {
+		if err := coord.Enroll(fleet.DeviceID(fmt.Sprintf("dev-%03d", i)), pid, pub, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sweep := 1; sweep <= 2; sweep++ {
+		before := make([]faultfs.Stats, len(injs))
+		for i, inj := range injs {
+			before[i] = inj.Stats()
+		}
+		v, err := coord.Sweep(pid, pump.Input, false)
+		if err != nil || v.Accepted != devices {
+			t.Fatalf("sweep %d: %v %v", sweep, v, err)
+		}
+		for i, inj := range injs {
+			after := inj.Stats()
+			writes, syncs := after.Writes-before[i].Writes, after.Syncs-before[i].Syncs
+			if writes < 1 || writes > 2 || syncs > 2 {
+				t.Errorf("sweep %d, node-%d: %d WAL writes and %d fsyncs, want 1-2 of each", sweep, i, writes, syncs)
+			}
+		}
+	}
+}
+
+// TestSyncRecordsRepeatedDevice: a device listed twice in one sync
+// batch ends on its last record, live and after replay, even when that
+// record equals what the node had persisted before the batch.
+func TestSyncRecordsRepeatedDevice(t *testing.T) {
+	dir := t.TempDir()
+	n, err := NewNode(NodeConfig{ID: "node-0", Dir: dir, Fleet: fleet.Config{Dial: newFabric().dial}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pump := workloads.SyringePump()
+	prog, err := pump.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := n.RegisterProgram(prog, core.Config{}, [][]uint32{pump.Input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := RecordFromState(fleet.DeviceState{ID: "pump-0", Addr: "mem://pump-0", Program: pid, Pub: make([]byte, 32), Rounds: 3})
+	if err := n.Enroll(v0.State()); err != nil {
+		t.Fatal(err)
+	}
+	v1 := v0
+	v1.Rounds, v1.Quarantined = 4, true
+	if err := n.SyncRecords([]DeviceRecord{v1, v0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.MaterializedState().Devices[v0.ID]; got != v0 {
+		t.Errorf("persisted picture\n got %+v\nwant %+v", got, v0)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, replayed, err := OpenStore(dir, "node-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if got := replayed.Devices[v0.ID]; got != v0 {
+		t.Errorf("WAL replay\n got %+v\nwant %+v", got, v0)
 	}
 }
